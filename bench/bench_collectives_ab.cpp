@@ -1,7 +1,8 @@
 // Pooled-vs-legacy data-plane A/B: the same message-heavy collective and
-// all-to-all workloads run end to end under DataPlane::Pooled (recycled
-// PayloadBufs, sharded mailboxes, fused frames) and DataPlane::Legacy (the
-// seed transport: fresh vector per message, single-mutex std::map mailbox).
+// all-to-all workloads run end to end on the production transport (recycled
+// PayloadBufs, sharded mailboxes, fused frames) and on the seed transport
+// kept in bench/seed_plane.hpp (fresh vector per message, single-mutex
+// std::map mailbox, collectives that decode at every hop).
 //
 // The JSON report carries only the deterministic machine-model counters —
 // which must be identical between the two planes (that identity is asserted
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "bench/common.hpp"
+#include "bench/seed_plane.hpp"
 
 #include "bigint/bigint.hpp"
 #include "runtime/collectives.hpp"
@@ -38,7 +40,8 @@ struct Config {
 
 /// The message-heavy body: every round, all-to-all BigInt exchange plus an
 /// allreduce and an allgather — the collective mix the FT engines drive.
-void body(Rank& r, const Config& cfg) {
+/// @p legacy routes the traffic through the seed-plane helpers.
+void body(Rank& r, const Config& cfg, bool legacy) {
     const Group g = Group::strided(0, cfg.P);
     r.phase("ab-exchange");
     if (cfg.raw_words != 0) {
@@ -53,7 +56,7 @@ void body(Rank& r, const Config& cfg) {
                 const int tag = (round * 4 + k) % 16;
                 for (int peer = 0; peer < cfg.P; ++peer) {
                     if (peer == r.id()) continue;
-                    if (r.data_plane() == DataPlane::Pooled) {
+                    if (!legacy) {
                         PayloadBuf b =
                             MsgPool::instance().acquire(cfg.raw_words);
                         b.storage().assign(cfg.raw_words,
@@ -68,7 +71,7 @@ void body(Rank& r, const Config& cfg) {
                 }
                 for (int peer = 0; peer < cfg.P; ++peer) {
                     if (peer == r.id()) continue;
-                    if (r.data_plane() == DataPlane::Pooled) {
+                    if (!legacy) {
                         PayloadBuf got = r.recv_buf(peer, tag);
                         if (got.size() != cfg.raw_words) std::abort();
                     } else {
@@ -89,16 +92,26 @@ void body(Rank& r, const Config& cfg) {
     for (int round = 0; round < cfg.rounds; ++round) {
         for (int peer = 0; peer < cfg.P; ++peer) {
             if (peer == r.id()) continue;
-            r.send_bigints(peer, round % 16, vals);
+            if (legacy) {
+                seed::send_bigints(r, peer, round % 16, vals);
+            } else {
+                r.send_bigints(peer, round % 16, vals);
+            }
         }
         for (int peer = 0; peer < cfg.P; ++peer) {
             if (peer == r.id()) continue;
-            auto got = r.recv_bigints(peer, round % 16);
+            auto got = legacy ? seed::recv_bigints(r, peer, round % 16)
+                              : r.recv_bigints(peer, round % 16);
             if (got.size() != cfg.W) std::abort();
         }
         std::vector<BigInt> acc(4, BigInt{r.id() + 1});
-        acc = allreduce_sum(r, g, std::move(acc), 100);
-        (void)allgather(r, g, {BigInt{r.id()} << 64}, 101);
+        if (legacy) {
+            acc = seed::allreduce_sum(r, g, std::move(acc), 100);
+            (void)seed::allgather(r, g, {BigInt{r.id()} << 64}, 101);
+        } else {
+            acc = allreduce_sum(r, g, std::move(acc), 100);
+            (void)allgather(r, g, {BigInt{r.id()} << 64}, 101);
+        }
     }
 }
 
@@ -111,16 +124,15 @@ struct PlaneResult {
 
 /// One Machine per plane, reused across reps (threads parked, pool thread
 /// caches warm): the timing isolates the data plane, not thread spawning.
-PlaneResult measure(DataPlane dp, const Config& cfg, int reps) {
+PlaneResult measure(bool legacy, const Config& cfg, int reps) {
     PlaneResult out;
-    Machine m(cfg.P);
-    m.set_data_plane(dp);
-    m.run([&](Rank& r) { body(r, cfg); });  // warmup
+    Machine m(cfg.P, {}, legacy ? seed::make_mailbox : MailboxFactory{});
+    m.run([&](Rank& r) { body(r, cfg, legacy); });  // warmup
     out.stats = m.stats();
     const auto before = MsgPool::stats();
     for (int rep = 0; rep < reps; ++rep) {
         const auto t0 = std::chrono::steady_clock::now();
-        m.run([&](Rank& r) { body(r, cfg); });
+        m.run([&](Rank& r) { body(r, cfg, legacy); });
         const auto t1 = std::chrono::steady_clock::now();
         out.best_ms = std::min(
             out.best_ms,
@@ -172,8 +184,8 @@ int main() {
     bool ok = true;
     double worst_speedup = 1e9;
     for (const Config& cfg : configs) {
-        const PlaneResult pooled = measure(DataPlane::Pooled, cfg, 3);
-        const PlaneResult legacy = measure(DataPlane::Legacy, cfg, 3);
+        const PlaneResult pooled = measure(/*legacy=*/false, cfg, 3);
+        const PlaneResult legacy = measure(/*legacy=*/true, cfg, 3);
         const double speedup = legacy.best_ms / pooled.best_ms;
         worst_speedup = std::min(worst_speedup, speedup);
         std::printf("%-14s %3d %6d %5zu | %10.2f %10.2f | %7.2fx | %12llu "

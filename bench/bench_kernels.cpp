@@ -235,24 +235,26 @@ void machine_reuse_table(bench::JsonReport& report, bool smoke) {
         for (int i = 0; i < 8; ++i) x += x;
         rank.note_memory(8);
     };
-    Machine spawn_machine(world);
-    spawn_machine.set_thread_reuse(false);
+    // Spawn-per-run: a fresh Machine per iteration starts and joins its own
+    // workers. Thread pool: one Machine whose workers stay parked between
+    // runs.
+    RunStats spawn_stats;
     Machine pool_machine(world);
-    pool_machine.set_thread_reuse(true);
     const auto [spawn_ns, pool_ns] = ab_time_ns(
-        [&] { spawn_machine.run(body); }, [&] { pool_machine.run(body); },
-        runs, rounds);
+        [&] {
+            Machine fresh(world);
+            fresh.run(body);
+            spawn_stats = fresh.stats();
+        },
+        [&] { pool_machine.run(body); }, runs, rounds);
     // Charge identity across executors: both run the same SPMD body, so the
     // cost model must not see the executor at all.
     const bool same_costs =
-        spawn_machine.stats().aggregate.flops ==
-            pool_machine.stats().aggregate.flops &&
-        spawn_machine.stats().critical.flops ==
-            pool_machine.stats().critical.flops;
+        spawn_stats.aggregate.flops == pool_machine.stats().aggregate.flops &&
+        spawn_stats.critical.flops == pool_machine.stats().critical.flops;
     std::vector<bench::Row> rows;
     bench::Row r0 = kernel_row("machine_run/spawn_per_run", spawn_ns,
-                               spawn_machine.stats().aggregate.flops,
-                               same_costs);
+                               spawn_stats.aggregate.flops, same_costs);
     bench::Row r1 = kernel_row("machine_run/thread_pool", pool_ns,
                                pool_machine.stats().aggregate.flops,
                                same_costs);

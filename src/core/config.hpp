@@ -40,10 +40,6 @@ struct ParallelConfig {
     /// redundant multipoints with larger coefficients).
     std::size_t extra_growth_bits = 0;
 
-    /// Record a full message/phase trace of the run (see runtime/trace.hpp);
-    /// exposed through ParallelRunResult::trace.
-    bool trace = false;
-
     /// Record the typed event log of the run (phase enter/exit, messages,
     /// faults, recoveries, memory peaks; see runtime/events.hpp); exposed
     /// through ParallelRunResult::events / FtRunResult::events and consumed

@@ -252,7 +252,6 @@ ParallelRunResult parallel_toom_multiply(const BigInt& a, const BigInt& b,
 
     const ToomPlan plan = ToomPlan::make(cfg.k);
     Machine machine(shape.processors);
-    if (cfg.trace) machine.enable_tracing();
     if (cfg.events) machine.enable_event_log();
     core_detail::arm_transport(machine, cfg);
     std::vector<std::vector<BigInt>> slices(
@@ -282,17 +281,6 @@ ParallelRunResult parallel_toom_multiply(const BigInt& a, const BigInt& b,
     result.stats = machine.stats();
     result.transport = machine.transport_stats();
     result.events = machine.event_log();
-    if (cfg.trace && machine.tracer() != nullptr) {
-        auto t = std::make_shared<Tracer>();
-        t->bind_world(shape.processors);
-        for (const auto& m : machine.tracer()->messages()) {
-            t->record_send(m.src, m.dst, m.tag, m.words, m.phase);
-        }
-        for (const auto& p : machine.tracer()->phases()) {
-            t->record_phase(p.rank, p.phase, p.seq);
-        }
-        result.trace = std::move(t);
-    }
 
     // The distributed result is the positional coefficient vector of the
     // product polynomial; one carry pass recomposes the integer.

@@ -9,7 +9,6 @@
 #include "core/config.hpp"
 #include "runtime/group.hpp"
 #include "runtime/machine.hpp"
-#include "runtime/trace.hpp"
 #include "toom/plan.hpp"
 
 namespace ftmul {
@@ -20,9 +19,6 @@ struct ParallelRunResult {
     BigInt product;
     ResolvedShape shape;
     RunStats stats;
-
-    /// Message/phase trace of the run, when ParallelConfig::trace was set.
-    std::shared_ptr<Tracer> trace;
 
     /// Typed event log of the run, when ParallelConfig::events was set.
     std::shared_ptr<EventLog> events;

@@ -83,23 +83,13 @@ void bcast(Rank& self, const Group& g, int root, std::vector<BigInt>& data,
     static const Counter calls = collective_counter("bcast");
     calls.inc();
     const Tree tree(g, root, self.id());
-    if (self.data_plane() == DataPlane::Legacy) {
-        // Seed path: decode at every hop, re-serialize per child.
-        if (tree.has_parent()) {
-            data = self.recv_bigints(unrotate(g, root, tree.parent()), tag);
-        }
-        for (std::size_t child : tree.children()) {
-            self.send_bigints(unrotate(g, root, child), tag, data);
-        }
-        self.add_latency(tree.depth());
-        return;
-    }
     // Frame-level forwarding: the wire frame is produced once at the root
     // and flows down the tree as raw words; interior nodes memcpy it to all
     // children but the last, which takes the buffer itself. Every edge
-    // still carries one message of the same word count as the seed path, so
-    // BW/L charges are unchanged — only the per-hop decode/re-encode and
-    // its allocations disappear.
+    // still carries one message of the same word count as the seed's
+    // decode-at-every-hop path (bench/seed_plane.hpp), so BW/L charges are
+    // unchanged — only the per-hop decode/re-encode and its allocations
+    // disappear.
     const std::vector<std::size_t> children = tree.children();
     PayloadBuf frame;
     if (tree.has_parent()) {
@@ -128,11 +118,6 @@ void bcast_pair(Rank& self, const Group& g, int root, std::vector<BigInt>& a,
     assert(g.contains(self.id()));
     static const Counter calls = collective_counter("bcast_pair");
     calls.inc();
-    if (self.data_plane() == DataPlane::Legacy) {
-        bcast(self, g, root, a, tag);
-        bcast(self, g, root, b, tag);
-        return;
-    }
     // Two broadcasts from the same root with the same tag, fused at the
     // transport: both frames ride one batched mailbox delivery per child
     // (FIFO per (src, tag) keeps them ordered). Charges are those of the

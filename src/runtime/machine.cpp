@@ -5,7 +5,6 @@
 #include <limits>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "bigint/ops_counter.hpp"
 #include "bigint/serialize.hpp"
@@ -123,9 +122,6 @@ void Rank::close_phase() {
 bool Rank::phase(std::string_view name) {
     close_phase();
     current_phase_ = std::string(name);
-    if (machine_.tracer_) {
-        machine_.tracer_->record_phase(id_, current_phase_, ledger_.size());
-    }
     if (machine_.events_) {
         Event e;
         e.kind = EventKind::PhaseBegin;
@@ -202,8 +198,6 @@ void Rank::end_recovery() {
     recovery_dead_.clear();
 }
 
-DataPlane Rank::data_plane() const noexcept { return machine_.data_plane_; }
-
 bool Rank::fails_at(std::string_view name) const {
     return machine_.plan_.fails_at(name, id_);
 }
@@ -237,16 +231,12 @@ void Rank::send_buf(int dst, int tag, PayloadBuf payload) {
         frames.inc();
     }
     // Under the guard the charged words include the sealed trailer — the
-    // integrity header rides the frame, deterministically, in every charge,
-    // trace line and event below.
+    // integrity header rides the frame, deterministically, in every charge
+    // and event below.
     current_.words += payload.size();
     current_.msgs += 1;
     machine_.metric_msgs_.inc();
     machine_.metric_msg_words_.inc(payload.size());
-    if (machine_.tracer_) {
-        machine_.tracer_->record_send(id_, dst, tag, payload.size(),
-                                      current_phase_);
-    }
     if (machine_.events_) {
         Event e;
         e.kind = EventKind::MessageSend;
@@ -381,10 +371,6 @@ void Rank::send_batch(int dst, std::vector<TaggedPayload> msgs) {
         current_.msgs += 1;
         machine_.metric_msgs_.inc();
         machine_.metric_msg_words_.inc(m.buf.size());
-        if (machine_.tracer_) {
-            machine_.tracer_->record_send(id_, dst, m.tag, m.buf.size(),
-                                          current_phase_);
-        }
         if (machine_.events_) {
             Event e;
             e.kind = EventKind::MessageSend;
@@ -678,9 +664,6 @@ std::uint64_t Rank::pick_piggyback_ack(int dst) {
 }
 
 PayloadBuf Rank::frame_bigints(std::span<const BigInt> values) {
-    if (machine_.data_plane_ == DataPlane::Legacy) {
-        return PayloadBuf::adopt(serialize_vec(values));
-    }
     PayloadBuf buf = MsgPool::instance().acquire(serialized_words(values));
     serialize_vec_into(values, buf.storage());
     return buf;
@@ -702,9 +685,6 @@ void Rank::send_bigints_batch(
 
 std::vector<BigInt> Rank::recv_bigints(int src, int tag) {
     PayloadBuf buf = recv_buf(src, tag);
-    if (machine_.data_plane_ == DataPlane::Legacy) {
-        return deserialize_vec(buf.words());
-    }
     // Single large frame: adopt the buffer's storage as the BigInt's limbs
     // (worth losing the pooled buffer); otherwise decode by copy and let
     // the buffer recycle.
@@ -730,10 +710,17 @@ void Rank::note_memory(std::uint64_t words) {
 // Machine
 // ---------------------------------------------------------------------------
 
-Machine::Machine(int world_size, FaultPlan plan)
-    : size_(world_size), plan_(std::move(plan)) {
+Machine::Machine(int world_size, FaultPlan plan, MailboxFactory make_mailbox)
+    : size_(world_size),
+      plan_(std::move(plan)),
+      make_mailbox_(std::move(make_mailbox)) {
     if (world_size <= 0) {
         throw std::invalid_argument("Machine: world_size must be positive");
+    }
+    if (!make_mailbox_) {
+        make_mailbox_ = [](int world) {
+            return std::make_unique<Mailbox>(world);
+        };
     }
     metric_msgs_ = metrics::counter("ftmul_machine_messages_total", {},
                                     "point-to-point messages sent");
@@ -768,7 +755,7 @@ Machine::Machine(int world_size, FaultPlan plan)
         "per-rank words moved inside a recovery bracket");
     mailboxes_.reserve(static_cast<std::size_t>(world_size));
     for (int i = 0; i < world_size; ++i) {
-        mailboxes_.push_back(make_mailbox());
+        mailboxes_.push_back(make_mailbox_(size_));
     }
     blocked_.resize(static_cast<std::size_t>(world_size));
     retain_.reserve(static_cast<std::size_t>(world_size));
@@ -920,7 +907,7 @@ void Machine::ack_retained(int src, int dst, int tag,
         }
         // The watermark drained the stream: erase the map node itself —
         // without this the nodes accumulate for the life of the machine,
-        // the same leak class LegacyMailbox::drain_residue fixed.
+        // the same leak class the sharded Mailbox's slot reclamation fixed.
         if (stream.frames.empty()) shard->streams.erase(it);
     }
     if (evicted_frames != 0) {
@@ -965,19 +952,6 @@ std::size_t Machine::live_streams() const {
     return n;
 }
 
-std::unique_ptr<MailboxBase> Machine::make_mailbox() const {
-    if (data_plane_ == DataPlane::Legacy) {
-        return std::make_unique<LegacyMailbox>();
-    }
-    return std::make_unique<Mailbox>(size_);
-}
-
-void Machine::set_data_plane(DataPlane dp) {
-    if (dp == data_plane_) return;
-    data_plane_ = dp;
-    for (auto& mb : mailboxes_) mb = make_mailbox();
-}
-
 std::size_t Machine::mailbox_live_slots(int rank) const {
     return mailboxes_[static_cast<std::size_t>(rank)]->live_slots();
 }
@@ -1016,20 +990,9 @@ std::string Machine::deadlock_diagnostic(
 
 Machine::~Machine() { release_retention(); }
 
-Tracer& Machine::enable_tracing() {
-    if (!tracer_) tracer_ = std::make_unique<Tracer>();
-    tracer_->bind_world(size_);
-    return *tracer_;
-}
-
 EventLog& Machine::enable_event_log() {
     if (!events_) events_ = std::make_shared<EventLog>();
     return *events_;
-}
-
-void Machine::set_thread_reuse(bool enabled) {
-    thread_reuse_ = enabled;
-    if (!enabled) pool_.reset();
 }
 
 void Machine::run(const std::function<void(Rank&)>& body) {
@@ -1037,10 +1000,9 @@ void Machine::run(const std::function<void(Rank&)>& body) {
     ProfileScope run_timer(metric_run_us_);
     stats_ = RunStats{};
     stats_.world = size_;
-    if (tracer_) tracer_->clear();
     if (events_) events_->clear();
     // Fresh mailboxes per run so stale messages never leak across runs.
-    for (auto& mb : mailboxes_) mb = make_mailbox();
+    for (auto& mb : mailboxes_) mb = make_mailbox_(size_);
     // Likewise the transport state: retention and accounting are per run.
     release_retention();
     tcounters_->reset();
@@ -1085,21 +1047,12 @@ void Machine::run(const std::function<void(Rank&)>& body) {
         peaks[static_cast<std::size_t>(r)] = rank.peak_memory_;
     };
 
-    if (thread_reuse_) {
-        // Persistent executor: rank r always runs on pool worker r, parked
-        // between runs.
-        if (!pool_ || pool_->size() != static_cast<std::size_t>(size_)) {
-            pool_ = std::make_unique<ThreadPool>(static_cast<std::size_t>(size_));
-        }
-        pool_->run([&](std::size_t i) { rank_body(static_cast<int>(i)); });
-    } else {
-        std::vector<std::thread> threads;
-        threads.reserve(static_cast<std::size_t>(size_));
-        for (int r = 0; r < size_; ++r) {
-            threads.emplace_back([&, r] { rank_body(r); });
-        }
-        for (auto& t : threads) t.join();
+    // Persistent executor: rank r always runs on pool worker r, parked
+    // between runs.
+    if (!pool_) {
+        pool_ = std::make_unique<ThreadPool>(static_cast<std::size_t>(size_));
     }
+    pool_->run([&](std::size_t i) { rank_body(static_cast<int>(i)); });
     if (first_error) std::rethrow_exception(first_error);
 
     // Post-run residue sweep: frames nobody popped — duplicates of

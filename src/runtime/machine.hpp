@@ -21,21 +21,12 @@
 #include "runtime/mailbox.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/msg_pool.hpp"
-#include "runtime/trace.hpp"
 #include "runtime/transport.hpp"
 
 namespace ftmul {
 
 class Machine;
 class ThreadPool;
-
-/// Which transport implementation the machine routes messages through.
-/// Pooled is the zero-copy data plane (recycled PayloadBufs, per-source
-/// mailbox shards, direct-to-buffer BigInt framing); Legacy is the seed
-/// implementation (fresh vector per message, single-mutex std::map mailbox,
-/// intermediate serialize() vector), kept live as the A/B baseline for
-/// bench_collectives. Cost-model charges are identical in both.
-enum class DataPlane { Pooled, Legacy };
 
 /// Per-processor execution context handed to the SPMD body: identity,
 /// point-to-point messaging, phase/cost bookkeeping and fault queries.
@@ -49,10 +40,6 @@ class Rank {
 public:
     int id() const noexcept { return id_; }
     int size() const noexcept { return size_; }
-
-    /// Which transport the owning machine routes through (collectives pick
-    /// frame-forwarding vs. the seed's re-serializing path off this).
-    DataPlane data_plane() const noexcept;
 
     /// Begin a new cost phase. Also the fault trigger point: returns true
     /// when the fault plan kills this rank *here* — the caller must then act
@@ -195,13 +182,17 @@ private:
 
 /// A simulated P-processor distributed-memory machine: each rank runs the
 /// SPMD body on its own thread with a private mailbox; there is no shared
-/// algorithm state. Costs are gathered per rank per phase and combined into
-/// RunStats after the join.
+/// algorithm state. Rank r of every run executes on the same parked worker
+/// of a persistent pool. Costs are gathered per rank per phase and combined
+/// into RunStats after the join.
 class Machine {
 public:
     /// @param world_size number of processors (standard + code processors).
     /// @param plan deterministic hard-fault schedule (may be empty).
-    explicit Machine(int world_size, FaultPlan plan = {});
+    /// @param make_mailbox builds each rank's mailbox at construction and at
+    ///        every run start; empty = the sharded Mailbox.
+    explicit Machine(int world_size, FaultPlan plan = {},
+                     MailboxFactory make_mailbox = {});
     ~Machine();
 
     Machine(const Machine&) = delete;
@@ -220,30 +211,17 @@ public:
     /// Deadlock-detection receive timeout (default 60 s).
     void set_recv_timeout(std::chrono::milliseconds t) { timeout_ = t; }
 
-    /// Reuse a persistent worker pool across run() calls (default on): rank r
-    /// of every run executes on the same parked OS thread. When off, each
-    /// run() spawns and joins fresh threads — the pre-pool behavior, kept as
-    /// the live A/B baseline for the kernels microbench.
-    void set_thread_reuse(bool enabled);
-
-    /// Select the message transport for subsequent runs (default Pooled).
-    /// DataPlane::Legacy restores the seed behavior end to end — the live
-    /// A/B baseline for bench_collectives, like set_thread_reuse(false) is
-    /// for the kernels microbench.
-    void set_data_plane(DataPlane dp);
-    DataPlane data_plane() const noexcept { return data_plane_; }
-
     /// Live (src, tag) queue slots in @p rank's mailbox — regression hook
     /// for the seed's slot-leak bug (drained slots must be reclaimed).
     std::size_t mailbox_live_slots(int rank) const;
 
     /// Arm (or disarm) the frame-integrity transport guard for subsequent
     /// runs (default off — the exact seed data plane, byte-identical
-    /// charges). When on, every frame is sealed with the four-word
-    /// checksum/seq/route trailer (runtime/transport.hpp), retained on the
-    /// sender side for retransmission, verified + deduplicated + reordered
-    /// back into stream order on receive, and the trailer words are charged
-    /// to the cost model deterministically.
+    /// charges). When on, every frame is sealed with the five-word
+    /// magic/checksum/seq/route/ack trailer (runtime/transport.hpp),
+    /// retained on the sender side for retransmission, verified +
+    /// deduplicated + reordered back into stream order on receive, and the
+    /// trailer words are charged to the cost model deterministically.
     void set_transport_guard(bool on) noexcept { transport_guard_ = on; }
     bool transport_guard() const noexcept { return transport_guard_; }
 
@@ -319,11 +297,6 @@ public:
     /// run start, all zeros when the guard is off.
     TransportStats transport_stats() const noexcept;
 
-    /// Turn on message/phase tracing for subsequent runs; returns the
-    /// tracer (owned by the machine, cleared at each run start).
-    Tracer& enable_tracing();
-    Tracer* tracer() noexcept { return tracer_.get(); }
-
     /// Turn on the structured event log for subsequent runs (see
     /// runtime/events.hpp); cleared and re-armed at each run start. The log
     /// is shared so results can outlive the machine.
@@ -354,7 +327,6 @@ private:
     MailboxBase& mailbox(int r) {
         return *mailboxes_[static_cast<std::size_t>(r)];
     }
-    std::unique_ptr<MailboxBase> make_mailbox() const;
 
     /// Sender-side retention for the NACK/retransmit protocol: one shard
     /// per destination rank, holding the not-yet-acknowledged sealed frames
@@ -400,15 +372,13 @@ private:
     int size_;
     FaultPlan plan_;
     std::vector<std::unique_ptr<MailboxBase>> mailboxes_;
-    DataPlane data_plane_ = DataPlane::Pooled;
+    MailboxFactory make_mailbox_;
     mutable std::mutex blocked_mu_;
     std::vector<BlockedRecv> blocked_;
     RunStats stats_;
     std::chrono::milliseconds timeout_{60000};
-    std::unique_ptr<Tracer> tracer_;
     std::shared_ptr<EventLog> events_;
     std::unique_ptr<ThreadPool> pool_;  ///< lazily created on first run()
-    bool thread_reuse_ = true;
 
     bool transport_guard_ = false;
     TransportFaultModel transport_model_{};

@@ -2,12 +2,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <map>
+#include <functional>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -109,80 +106,10 @@ private:
     std::atomic<bool> aborted_{false};
 };
 
-/// The seed implementation, preserved verbatim in behavior: one mutex and
-/// condition variable over a std::map keyed by (src, tag), payloads as
-/// plain vectors, drained entries never reclaimed. Kept as the live A/B
-/// baseline for bench_collectives' pooled-vs-legacy mode (selected with
-/// Machine::set_data_plane(DataPlane::Legacy)).
-class LegacyMailbox final : public MailboxBase {
-public:
-    void push(int src, int tag, PayloadBuf payload) override {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            queues_[{src, tag}].push_back(std::move(payload).release());
-        }
-        cv_.notify_all();
-    }
-
-    void push_batch(int src, std::vector<TaggedPayload> items) override {
-        for (TaggedPayload& it : items) {
-            push(src, it.tag, std::move(it.buf));
-        }
-    }
-
-    void abort() override {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            aborted_ = true;
-        }
-        cv_.notify_all();
-    }
-
-    PayloadBuf pop(int src, int tag,
-                   std::chrono::milliseconds timeout) override {
-        std::unique_lock<std::mutex> lock(mu_);
-        const auto key = std::make_pair(src, tag);
-        if (!cv_.wait_for(lock, timeout, [&] {
-                if (aborted_) return true;
-                auto it = queues_.find(key);
-                return it != queues_.end() && !it->second.empty();
-            })) {
-            throw RecvTimeout("recv timed out waiting for src=" +
-                              std::to_string(src) +
-                              " tag=" + std::to_string(tag));
-        }
-        if (aborted_) throw RunAborted{};
-        auto& q = queues_[key];
-        PayloadBuf out = PayloadBuf::adopt(std::move(q.front()));
-        q.pop_front();
-        return out;
-    }
-
-    std::size_t live_slots() const override {
-        std::lock_guard<std::mutex> lock(mu_);
-        return queues_.size();
-    }
-
-    std::vector<ResidueFrame> drain_residue() override {
-        std::lock_guard<std::mutex> lock(mu_);
-        std::vector<ResidueFrame> out;
-        // The map is ordered by (src, tag) already.
-        for (auto& [key, q] : queues_) {
-            for (auto& words : q) {
-                out.push_back({key.first, key.second,
-                               PayloadBuf::adopt(std::move(words))});
-            }
-        }
-        queues_.clear();
-        return out;
-    }
-
-private:
-    mutable std::mutex mu_;
-    std::condition_variable cv_;
-    std::map<std::pair<int, int>, std::deque<std::vector<std::uint64_t>>>
-        queues_;
-    bool aborted_ = false;
-};
+/// Builds one rank's mailbox for a machine of the given world size — the
+/// Machine's single transport injection point (tests and benches plug in
+/// alternative MailboxBase implementations through it).
+using MailboxFactory =
+    std::function<std::unique_ptr<MailboxBase>(int world_size)>;
 
 }  // namespace ftmul

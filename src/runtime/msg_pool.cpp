@@ -4,7 +4,6 @@
 #include <atomic>
 #include <bit>
 #include <cassert>
-#include <cstdlib>
 #include <mutex>
 
 namespace ftmul {
@@ -22,8 +21,6 @@ struct PoolStats {
 };
 PoolStats g_stats;
 
-std::atomic<bool> g_pooling_enabled{true};
-
 constexpr std::size_t kNumClasses = MsgPool::kMaxClass + 1;
 constexpr std::size_t kLocalDepth = 4;  ///< buffers cached per thread/class
 
@@ -34,7 +31,7 @@ constexpr std::size_t kLocalDepth = 4;  ///< buffers cached per thread/class
 /// zero. Large classes stay shallow to bound worst-case hoarding (class 12
 /// = 4096 words = 32 KiB; 512 of those is 16 MiB). The depths start at the
 /// historical fixed 512/64 split and grow adaptively as Machines report
-/// their world sizes (note_world_size), or are pinned by FTMUL_POOL_DEPTH.
+/// their world sizes (note_world_size).
 std::atomic<std::size_t> g_depth_small{512};
 std::atomic<std::size_t> g_depth_large{64};
 
@@ -129,15 +126,6 @@ MsgPool& MsgPool::instance() {
     return pool;
 }
 
-void MsgPool::set_pooling_enabled(bool on) noexcept {
-    g_pooling_enabled.store(on, std::memory_order_relaxed);
-    if (!on) trim();
-}
-
-bool MsgPool::pooling_enabled() const noexcept {
-    return g_pooling_enabled.load(std::memory_order_relaxed);
-}
-
 void MsgPool::trim() {
     g_generation.fetch_add(1, std::memory_order_acq_rel);
     for (std::size_t c = 0; c < kNumClasses; ++c) {
@@ -148,12 +136,6 @@ void MsgPool::trim() {
 }
 
 PayloadBuf MsgPool::acquire(std::size_t capacity_words) {
-    if (!g_pooling_enabled.load(std::memory_order_relaxed)) {
-        std::vector<std::uint64_t> v;
-        v.reserve(capacity_words);
-        g_stats.fresh_allocs.fetch_add(1, std::memory_order_relaxed);
-        return PayloadBuf(std::move(v), /*pooled=*/false);
-    }
     g_stats.acquires.fetch_add(1, std::memory_order_relaxed);
     const std::size_t c = class_of(capacity_words);
     if (c <= kMaxClass) {
@@ -192,10 +174,6 @@ PayloadBuf MsgPool::acquire(std::size_t capacity_words) {
 }
 
 void MsgPool::give_back(std::vector<std::uint64_t>&& v) noexcept {
-    if (!g_pooling_enabled.load(std::memory_order_relaxed)) {
-        g_stats.dropped.fetch_add(1, std::memory_order_relaxed);
-        return;  // v destroyed: legacy free
-    }
     const std::size_t cap = v.capacity();
     const std::size_t c = class_of(cap);
     // Only cache buffers whose capacity is exactly a pooled class size, so
@@ -225,19 +203,6 @@ void MsgPool::give_back(std::vector<std::uint64_t>&& v) noexcept {
 }
 
 void MsgPool::note_world_size(int world) noexcept {
-    if (const char* env = std::getenv("FTMUL_POOL_DEPTH")) {
-        char* end = nullptr;
-        const unsigned long long v = std::strtoull(env, &end, 10);
-        if (end != env && *end == '\0' && v > 0) {
-            // A/B override: pin both depths exactly (no monotonic growth),
-            // so bench_collectives_ab can sweep shallow and deep pools.
-            g_depth_small.store(static_cast<std::size_t>(v),
-                                std::memory_order_relaxed);
-            g_depth_large.store(static_cast<std::size_t>(v),
-                                std::memory_order_relaxed);
-            return;
-        }
-    }
     if (world <= 0) return;
     const auto w = static_cast<std::size_t>(world);
     // 2*P^2 small buffers covers a full all-to-all's in-flight frames with

@@ -15,8 +15,8 @@ class MsgPool;
 /// free list first, global spill pool second), so the steady-state
 /// send/recv path performs no heap allocation. Buffers wrapped with adopt()
 /// or moved out with release() are "unpooled": they free/keep their storage
-/// normally, which is how the legacy data plane and the vector-based
-/// compatibility overloads route around the pool.
+/// normally, which is how the vector-based send()/recv() overloads and
+/// BigInt limb adoption route around the pool.
 class PayloadBuf {
 public:
     PayloadBuf() = default;
@@ -61,8 +61,7 @@ public:
 
     /// Move the storage out; the buffer becomes empty and unpooled, and the
     /// extracted vector is owned by the caller (pool recycling ends here —
-    /// used by the legacy recv() compatibility path and by BigInt limb
-    /// adoption).
+    /// used by the vector recv() overload and by BigInt limb adoption).
     std::vector<std::uint64_t> release() noexcept {
         pooled_ = false;
         return std::move(v_);
@@ -108,13 +107,6 @@ public:
         return b;
     }
 
-    /// Pooling off = the legacy allocation behavior (every acquire is a
-    /// fresh vector, every return frees). The live A/B baseline for
-    /// bench_collectives, like Machine::set_thread_reuse(false) is for the
-    /// thread pool.
-    void set_pooling_enabled(bool on) noexcept;
-    bool pooling_enabled() const noexcept;
-
     /// Drop every cached buffer (thread caches are dropped lazily as their
     /// threads next touch the pool; the shared spill pool empties now).
     void trim();
@@ -124,8 +116,6 @@ public:
     /// the per-class spill depths grow monotonically to cover the largest
     /// machine seen — small classes toward 2*P^2 (capped), large classes
     /// toward 4*P — never below the fixed 512/64 the pool started with.
-    /// The FTMUL_POOL_DEPTH environment variable overrides both depths with
-    /// a fixed value for A/B runs (re-read on every call, takes precedence).
     void note_world_size(int world) noexcept;
 
     /// Current (small-class, large-class) spill depths.

@@ -5,17 +5,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
 #include <tuple>
+#include <utility>
 
 #include "../bench/common.hpp"
 #include "bigint/random.hpp"
 #include "core/ft_linear.hpp"
 #include "core/parallel.hpp"
+#include "runtime/collectives.hpp"
 #include "runtime/json.hpp"
 #include "runtime/machine.hpp"
 #include "runtime/report.hpp"
@@ -125,6 +129,87 @@ TEST(EventLog, ClearedBetweenRuns) {
     for (const Event& e : log.events()) {
         EXPECT_NE(e.phase, "first");
     }
+}
+
+/// Walk each rank's events in program order and check that the MessageSend
+/// events inside every phase fold exactly to the msgs/words its PhaseEnd
+/// counters charged. Returns the summed (msgs, words) of all sends.
+std::pair<std::uint64_t, std::uint64_t> expect_sends_fold_to_ledger(
+    const EventLog& log, int world) {
+    std::uint64_t all_msgs = 0;
+    std::uint64_t all_words = 0;
+    for (int r = 0; r < world; ++r) {
+        std::string open;
+        std::uint64_t msgs = 0;
+        std::uint64_t words = 0;
+        for (const Event& e : log.for_rank(r)) {
+            switch (e.kind) {
+                case EventKind::PhaseBegin:
+                    open = e.phase;
+                    break;
+                case EventKind::MessageSend:
+                    EXPECT_EQ(e.phase, open) << "rank " << r;
+                    ++msgs;
+                    words += e.words;
+                    break;
+                case EventKind::PhaseEnd:
+                    EXPECT_EQ(e.phase, open) << "rank " << r;
+                    EXPECT_EQ(msgs, e.counters.msgs)
+                        << "rank " << r << " phase " << e.phase;
+                    EXPECT_EQ(words, e.counters.words)
+                        << "rank " << r << " phase " << e.phase;
+                    all_msgs += msgs;
+                    all_words += words;
+                    msgs = 0;
+                    words = 0;
+                    break;
+                default:
+                    break;
+            }
+        }
+        EXPECT_EQ(msgs, 0u) << "sends after rank " << r << "'s last PhaseEnd";
+    }
+    return {all_msgs, all_words};
+}
+
+TEST(EventLog, MessageSendsFoldExactlyToTheCostLedger) {
+    // EventLog is the only message record, so every charge site must emit
+    // exactly one MessageSend per charged message: plain send(), and the
+    // fused send_batch() under allgather's bcast_pair.
+    constexpr int kWorld = 4;
+    Machine m(kWorld);
+    EventLog& log = m.enable_event_log();
+    m.run([&](Rank& r) {
+        r.phase("ring");
+        r.send((r.id() + 1) % kWorld, 1,
+               {1, 2, static_cast<std::uint64_t>(r.id())});
+        (void)r.recv((r.id() + kWorld - 1) % kWorld, 1);
+        r.phase("allgather");
+        (void)allgather(r, Group::strided(0, kWorld),
+                        {BigInt{r.id() + 1} << 200, BigInt{7}}, 2);
+    });
+    const auto [msgs, words] = expect_sends_fold_to_ledger(log, kWorld);
+    EXPECT_GT(m.stats().per_phase_agg.at("ring").msgs, 0u);
+    EXPECT_GT(m.stats().per_phase_agg.at("allgather").msgs, 0u);
+    EXPECT_EQ(msgs, m.stats().aggregate.msgs);
+    EXPECT_EQ(words, m.stats().aggregate.words);
+
+    ParallelConfig cfg;
+    cfg.k = 2;
+    cfg.processors = 9;
+    cfg.digit_bits = 32;
+    cfg.events = true;
+    Rng rng{11};
+    const BigInt a = random_bits(rng, 3000);
+    const BigInt b = random_bits(rng, 3000);
+    const ParallelRunResult res = parallel_toom_multiply(a, b, cfg);
+    ASSERT_EQ(res.product, a * b);
+    ASSERT_NE(res.events, nullptr);
+    const auto [pmsgs, pwords] =
+        expect_sends_fold_to_ledger(*res.events, cfg.processors);
+    EXPECT_GT(pmsgs, 0u);
+    EXPECT_EQ(pmsgs, res.stats.aggregate.msgs);
+    EXPECT_EQ(pwords, res.stats.aggregate.words);
 }
 
 // ---------------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "../bench/seed_plane.hpp"
 #include "runtime/mailbox.hpp"
 #include "runtime/machine.hpp"
 #include "runtime/msg_pool.hpp"
@@ -209,7 +210,7 @@ TEST(MailboxStress, DrainResidueReclaimsEverything) {
         }
     };
     Mailbox sharded(3);
-    LegacyMailbox legacy;
+    seed::LegacyMailbox legacy;
     for (MailboxBase* mb : {static_cast<MailboxBase*>(&sharded),
                             static_cast<MailboxBase*>(&legacy)}) {
         fill(*mb);

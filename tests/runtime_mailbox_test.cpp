@@ -1,16 +1,19 @@
 // Sharded-mailbox unit tests: FIFO per (src, tag), tag separation, slot
 // reclamation (the seed's queue-map leak, fixed), table growth, abort and
 // timeout behavior — plus machine-level regression tests that pin the
-// bounded-slot guarantee under both data planes.
+// bounded-slot guarantee and compare against the seed plane kept in
+// bench/seed_plane.hpp, plugged in through the Machine's mailbox factory.
 
 #include "runtime/mailbox.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <thread>
 #include <vector>
 
+#include "../bench/seed_plane.hpp"
 #include "runtime/machine.hpp"
 
 namespace ftmul {
@@ -57,7 +60,7 @@ TEST(Mailbox, DrainedSlotsAreReclaimed) {
 TEST(Mailbox, LegacyMailboxLeaksSlotsByDesign) {
     // Documents the baseline the fix is measured against: the preserved
     // legacy transport holds one map node per (src, tag) pair forever.
-    LegacyMailbox mb;
+    seed::LegacyMailbox mb;
     for (int tag = 0; tag < 100; ++tag) {
         mb.push(1, tag, make_payload({1}));
         mb.pop(1, tag, 1s);
@@ -133,8 +136,7 @@ TEST(MachineDataPlane, PooledMailboxSlotsStayBounded) {
 }
 
 TEST(MachineDataPlane, LegacyPlaneRoundTripStillWorks) {
-    Machine m(2);
-    m.set_data_plane(DataPlane::Legacy);
+    Machine m(2, {}, seed::make_mailbox);
     m.run([&](Rank& r) {
         if (r.id() == 0) {
             r.send(1, 7, {10, 20, 30});
@@ -154,29 +156,60 @@ TEST(MachineDataPlane, ChargesAreIdenticalAcrossPlanes) {
     // The whole point of the data-plane work: wall-clock changes, the cost
     // model does not. Run the same exchange under both planes and compare
     // every deterministic counter.
-    auto run_once = [](DataPlane dp) {
-        Machine m(4);
-        m.set_data_plane(dp);
+    auto run_once = [](bool legacy) {
+        Machine m(4, {}, legacy ? seed::make_mailbox : MailboxFactory{});
         m.run([&](Rank& r) {
             const int peer = r.id() ^ 1;
             std::vector<BigInt> vals;
             for (int i = 0; i < 5; ++i) {
                 vals.push_back(BigInt{(r.id() + 1) * 1000 + i} << 700);
             }
-            r.send_bigints(peer, 3, vals);
-            auto got = r.recv_bigints(peer, 3);
+            if (legacy) {
+                seed::send_bigints(r, peer, 3, vals);
+            } else {
+                r.send_bigints(peer, 3, vals);
+            }
+            auto got = legacy ? seed::recv_bigints(r, peer, 3)
+                              : r.recv_bigints(peer, 3);
             EXPECT_EQ(got.size(), vals.size());
         });
         return m.stats();
     };
-    const RunStats pooled = run_once(DataPlane::Pooled);
-    const RunStats legacy = run_once(DataPlane::Legacy);
+    const RunStats pooled = run_once(/*legacy=*/false);
+    const RunStats legacy = run_once(/*legacy=*/true);
     EXPECT_EQ(pooled.aggregate.msgs, legacy.aggregate.msgs);
     EXPECT_EQ(pooled.aggregate.words, legacy.aggregate.words);
     EXPECT_EQ(pooled.aggregate.flops, legacy.aggregate.flops);
     EXPECT_EQ(pooled.critical.msgs, legacy.critical.msgs);
     EXPECT_EQ(pooled.critical.words, legacy.critical.words);
     EXPECT_EQ(pooled.critical.latency, legacy.critical.latency);
+}
+
+TEST(MachineDataPlane, MailboxFactoryBuildsEveryRanksBoxPerRun) {
+    constexpr int kWorld = 3;
+    std::atomic<int> built{0};
+    std::atomic<int> wrong_world{0};
+    Machine m(kWorld, {}, [&](int world) {
+        if (world != kWorld) wrong_world.fetch_add(1);
+        built.fetch_add(1);
+        return seed::make_mailbox(world);
+    });
+    EXPECT_EQ(built.load(), kWorld);
+    for (int run = 1; run <= 2; ++run) {
+        m.run([&](Rank& r) {
+            r.send((r.id() + 1) % kWorld, 4, {7});
+            EXPECT_EQ(r.recv((r.id() + kWorld - 1) % kWorld, 4),
+                      (std::vector<std::uint64_t>{7}));
+        });
+        EXPECT_EQ(built.load(), kWorld * (run + 1))
+            << "each run starts on fresh boxes from the factory";
+        // The injected seed boxes carried the ring: each kept its one
+        // drained (src, tag) queue, which the sharded Mailbox reclaims.
+        for (int r = 0; r < kWorld; ++r) {
+            EXPECT_EQ(m.mailbox_live_slots(r), 1u) << "rank " << r;
+        }
+    }
+    EXPECT_EQ(wrong_world.load(), 0);
 }
 
 }  // namespace

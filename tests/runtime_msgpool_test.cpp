@@ -1,5 +1,5 @@
 // MsgPool unit tests: size-class rounding, thread-local vs. shared-pool
-// recycling, the pooling-off legacy mode, trim(), stats accounting and the
+// recycling, trim(), adaptive spill depths, stats accounting and the
 // use-after-return poison check. Complements the machine-level data-plane
 // tests in runtime_mailbox_test.cpp.
 
@@ -84,25 +84,6 @@ TEST(MsgPool, CrossThreadReturnReachesSpillPool) {
     EXPECT_EQ(d.poison_failures(), 0u);
 }
 
-TEST(MsgPool, PoolingOffRestoresLegacyAllocation) {
-    MsgPool& pool = MsgPool::instance();
-    pool.set_pooling_enabled(false);
-    StatsDelta d;
-    {
-        PayloadBuf b = pool.acquire(256);
-        EXPECT_FALSE(b.pooled());
-    }
-    // Legacy mode: every acquire is a fresh vector, every return frees
-    // (the unpooled buffer never reaches give_back, so neither the
-    // returns nor the dropped counter moves).
-    EXPECT_EQ(d.fresh_allocs(), 1u);
-    EXPECT_EQ(d.acquires(), 0u) << "pooled-acquire counter must not move";
-    EXPECT_EQ(d.returns(), 0u);
-    EXPECT_EQ(d.dropped(), 0u);
-    pool.set_pooling_enabled(true);
-    EXPECT_TRUE(pool.pooling_enabled());
-}
-
 TEST(MsgPool, TrimDropsCachedBuffers) {
     MsgPool& pool = MsgPool::instance();
     pool.trim();
@@ -156,7 +137,6 @@ TEST(MsgPool, ReturnedBuffersArePoisoned) {
 }
 
 TEST(MsgPool, AdaptiveSpillDepthsGrowMonotonicallyWithWorldSize) {
-    unsetenv("FTMUL_POOL_DEPTH");
     const auto [small0, large0] = MsgPool::spill_depths();
 
     // Nonsense worlds change nothing.
@@ -175,25 +155,6 @@ TEST(MsgPool, AdaptiveSpillDepthsGrowMonotonicallyWithWorldSize) {
 
     MsgPool::instance().note_world_size(3);
     EXPECT_EQ(MsgPool::spill_depths(), std::make_pair(small1, large1));
-}
-
-TEST(MsgPool, PoolDepthEnvOverridePinsBothDepths) {
-    // FTMUL_POOL_DEPTH pins both depths exactly — including *lowering*
-    // them, which monotonic growth never does — so A/B runs can sweep
-    // shallow pools. Malformed values are ignored.
-    setenv("FTMUL_POOL_DEPTH", "123", 1);
-    MsgPool::instance().note_world_size(64);
-    EXPECT_EQ(MsgPool::spill_depths(),
-              std::make_pair(std::size_t{123}, std::size_t{123}));
-
-    const auto pinned = MsgPool::spill_depths();
-    setenv("FTMUL_POOL_DEPTH", "not-a-number", 1);
-    MsgPool::instance().note_world_size(64);  // env ignored, growth resumes
-    EXPECT_GE(MsgPool::spill_depths().first, pinned.first);
-
-    unsetenv("FTMUL_POOL_DEPTH");
-    MsgPool::instance().note_world_size(64);  // restore sane depths
-    EXPECT_GE(MsgPool::spill_depths().first, std::size_t{512});
 }
 
 }  // namespace

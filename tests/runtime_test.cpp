@@ -363,7 +363,6 @@ TEST(Collectives, ReduceWordCostMatchesLemma) {
 
 TEST(Machine, ThreadPoolReusesWorkerThreadsAcrossRuns) {
     Machine m(4);
-    m.set_thread_reuse(true);
     std::array<std::thread::id, 4> first{};
     std::array<std::thread::id, 4> second{};
     m.run([&](Rank& r) {
@@ -380,16 +379,22 @@ TEST(Machine, ThreadPoolReusesWorkerThreadsAcrossRuns) {
 }
 
 TEST(Machine, SpawnPerRunUsesFreshThreads) {
-    Machine m(2);
-    m.set_thread_reuse(false);
+    // A fresh Machine per run spawns and joins its own workers.
     std::array<std::thread::id, 2> first{};
     std::array<std::thread::id, 2> second{};
-    m.run([&](Rank& r) {
-        first[static_cast<std::size_t>(r.id())] = std::this_thread::get_id();
-    });
-    m.run([&](Rank& r) {
-        second[static_cast<std::size_t>(r.id())] = std::this_thread::get_id();
-    });
+    {
+        Machine m(2);
+        m.run([&](Rank& r) {
+            first[static_cast<std::size_t>(r.id())] = std::this_thread::get_id();
+        });
+    }
+    {
+        Machine m(2);
+        m.run([&](Rank& r) {
+            second[static_cast<std::size_t>(r.id())] =
+                std::this_thread::get_id();
+        });
+    }
     // Joined-and-respawned threads may reuse an id, so only sanity-check
     // that the run completed with distinct per-rank threads.
     EXPECT_NE(first[0], first[1]);
@@ -398,7 +403,6 @@ TEST(Machine, SpawnPerRunUsesFreshThreads) {
 
 TEST(Machine, MailboxesCleanAcrossPooledRuns) {
     Machine m(2);
-    m.set_thread_reuse(true);
     // First run deliberately leaves an unconsumed message in rank 1's box.
     m.run([&](Rank& r) {
         if (r.id() == 0) r.send(1, 5, {111, 222});
@@ -420,16 +424,20 @@ TEST(Machine, PooledRunsAccumulateStatsLikeSpawned) {
         for (int i = 0; i < 4; ++i) x += x;
         r.note_memory(4);
     };
+    // One Machine reused across runs (parked workers) against a fresh
+    // Machine per run (fresh workers): the executor must be invisible to
+    // the cost model.
     Machine pooled(3);
-    pooled.set_thread_reuse(true);
-    Machine spawned(3);
-    spawned.set_thread_reuse(false);
     pooled.run(body);
     pooled.run(body);
-    spawned.run(body);
-    spawned.run(body);
-    EXPECT_EQ(pooled.stats().aggregate.flops, spawned.stats().aggregate.flops);
-    EXPECT_EQ(pooled.stats().critical.flops, spawned.stats().critical.flops);
+    RunStats spawned;
+    for (int run = 0; run < 2; ++run) {
+        Machine fresh(3);
+        fresh.run(body);
+        spawned = fresh.stats();
+    }
+    EXPECT_EQ(pooled.stats().aggregate.flops, spawned.aggregate.flops);
+    EXPECT_EQ(pooled.stats().critical.flops, spawned.critical.flops);
 }
 
 }  // namespace
