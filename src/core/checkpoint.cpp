@@ -2,34 +2,22 @@
 #include "runtime/metrics.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <map>
 #include <stdexcept>
 #include <tuple>
 
+#include "core/ft_common.hpp"
 #include "core/layout.hpp"
-#include "toom/digits.hpp"
 
 namespace ftmul {
 
 namespace {
 
-using core_detail::leaf_multiply;
-using core_detail::local_input_digits;
+using namespace core_detail;
 
 constexpr const char* kEvalPhase = "eval-L0";
 constexpr const char* kLeafPhase = "leaf-mul";
 constexpr const char* kInterpPhase = "interp-L0";
-
-int exact_log(std::uint64_t v, std::uint64_t base) {
-    int l = 0;
-    while (v > 1) {
-        if (v % base != 0) return -1;
-        v /= base;
-        ++l;
-    }
-    return l;
-}
 
 int buddy_of(int rank, int p) { return (rank + 1) % p; }
 
@@ -101,8 +89,7 @@ FtRunResult checkpoint_toom_multiply(const BigInt& a, const BigInt& b,
 
     const ToomPlan tplan = ToomPlan::make(k);
     Machine machine(P, plan);
-    if (cfg.base.events) machine.enable_event_log();
-    core_detail::arm_transport(machine, cfg.base);
+    arm_transport(machine, cfg.base);
     std::vector<std::vector<BigInt>> slices(static_cast<std::size_t>(P));
     const auto unpts = static_cast<std::size_t>(npts);
     const std::size_t N = shape.total_digits;
@@ -148,27 +135,11 @@ FtRunResult checkpoint_toom_multiply(const BigInt& a, const BigInt& b,
         std::vector<BigInt> a_loc = local_input_digits(a, shape, P, me);
         std::vector<BigInt> b_loc = local_input_digits(b, shape, P, me);
 
-        auto pack = [](const std::vector<BigInt>& x,
-                       const std::vector<BigInt>& y) {
-            std::vector<BigInt> s = x;
-            s.insert(s.end(), y.begin(), y.end());
-            return s;
-        };
-        auto unpack = [](std::vector<BigInt> s, std::vector<BigInt>& x,
-                         std::vector<BigInt>& y) {
-            const std::size_t half = s.size() / 2;
-            y.assign(std::make_move_iterator(s.begin() +
-                                             static_cast<std::ptrdiff_t>(half)),
-                     std::make_move_iterator(s.end()));
-            s.resize(half);
-            x = std::move(s);
-        };
-
-        std::vector<BigInt> state = pack(a_loc, b_loc);
+        std::vector<BigInt> state = pack_pair(a_loc, b_loc);
         checkpoint("ckpt-input", 700, state);
         const bool fail_eval = rank.phase(kEvalPhase);
         restore(kEvalPhase, 710, fail_eval, state);
-        if (fail_eval) unpack(std::move(state), a_loc, b_loc);
+        if (fail_eval) unpack_pair(std::move(state), a_loc, b_loc);
         state.clear();
 
         struct Level {
@@ -198,13 +169,13 @@ FtRunResult checkpoint_toom_multiply(const BigInt& a, const BigInt& b,
             len /= static_cast<std::size_t>(k);
         }
 
-        state = pack(a_loc, b_loc);
+        state = pack_pair(a_loc, b_loc);
         checkpoint("ckpt-leaf", 720, state);
         const bool fail_leaf = rank.phase(kLeafPhase);
         restore(kLeafPhase, 730, fail_leaf, state);
         if (fail_leaf) {
             // Rollback + replay: redo the lost multiplication.
-            unpack(std::move(state), a_loc, b_loc);
+            unpack_pair(std::move(state), a_loc, b_loc);
         }
         state.clear();
         std::vector<BigInt> child = leaf_multiply(
@@ -229,23 +200,11 @@ FtRunResult checkpoint_toom_multiply(const BigInt& a, const BigInt& b,
             }
             std::vector<BigInt> coeffs(unpts * rc);
             tplan.interpolation().apply_blocks(children, coeffs, rc);
-            child.assign(2 * L.len / m, BigInt{});
-            for (std::size_t i = 0; i < unpts; ++i) {
-                for (std::size_t t = 0; t < rc; ++t) {
-                    child[i * s + t] += coeffs[i * rc + t];
-                }
-            }
+            child = fold_blocks_local(coeffs, unpts, rc, s, 2 * L.len / m);
         }
         slices[static_cast<std::size_t>(me)] = std::move(child);
     });
-    result.stats = machine.stats();
-    result.transport = machine.transport_stats();
-    result.events = machine.event_log();
-
-    const std::vector<BigInt> full = unslice(slices, 1);
-    BigInt prod = recompose_digits(full, shape.digit_bits);
-    assert(!prod.is_negative());
-    result.product = a.sign() * b.sign() < 0 ? -prod : prod;
+    finish_run(result, machine, slices, a, b);
     return result;
 }
 

@@ -9,9 +9,6 @@
 
 namespace ftmul {
 
-namespace {
-
-/// log_{base}(v) when v is an exact power; -1 otherwise.
 int exact_log(std::uint64_t v, std::uint64_t base) {
     int l = 0;
     while (v > 1) {
@@ -22,13 +19,15 @@ int exact_log(std::uint64_t v, std::uint64_t base) {
     return l;
 }
 
-std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
-
 std::uint64_t ipow(std::uint64_t b, int e) {
     std::uint64_t r = 1;
     for (int i = 0; i < e; ++i) r *= b;
     return r;
 }
+
+namespace {
+
+std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
 
 ResolvedShape shape_for_dfs(const ParallelConfig& cfg, std::size_t n_bits,
                             int bfs, int dfs) {

@@ -135,4 +135,11 @@ ResolvedShape resolve_shape_general(int k, int processors, int world,
 /// plus the ~2x result growth and the (2k-1)/k per-BFS-level expansion).
 std::uint64_t estimate_peak_words(const ResolvedShape& s);
 
+/// log_{base}(v) when v is an exact power of base (v = 1 gives 0); -1
+/// otherwise.
+int exact_log(std::uint64_t v, std::uint64_t base);
+
+/// b^e for e >= 0 (wraps on overflow, like any unsigned product).
+std::uint64_t ipow(std::uint64_t b, int e);
+
 }  // namespace ftmul

@@ -3,38 +3,20 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 #include <set>
 #include <span>
 #include <stdexcept>
 
 #include "coding/redundant_points.hpp"
+#include "core/ft_common.hpp"
 #include "core/layout.hpp"
 #include "linalg/exact_solve.hpp"
-#include "toom/digits.hpp"
 
 namespace ftmul {
 
 namespace {
 
-using core_detail::dist_convolve;
-using core_detail::local_input_digits;
-
-int exact_log(std::uint64_t v, std::uint64_t base) {
-    int l = 0;
-    while (v > 1) {
-        if (v % base != 0) return -1;
-        v /= base;
-        ++l;
-    }
-    return l;
-}
-
-std::size_t ipow(std::size_t b, int e) {
-    std::size_t r = 1;
-    for (int i = 0; i < e; ++i) r *= b;
-    return r;
-}
+using namespace core_detail;
 
 /// Blockwise application of an integer matrix: out block i = sum_j m(i,j) *
 /// in block j, elementwise over blocks of block_len.
@@ -73,7 +55,8 @@ FtRunResult ft_multistep_multiply(const BigInt& a, const BigInt& b,
         throw std::invalid_argument(
             "ft_multistep: need processors >= (2k-1)^fused_steps");
     }
-    const auto wide_data = static_cast<int>(ipow(static_cast<std::size_t>(npts), l));
+    const auto wide_data =
+        static_cast<int>(ipow(static_cast<std::uint64_t>(npts), l));
     const int height = cfg.base.processors / wide_data;  // column height
     const int wide = wide_data + f;
     const int world = height * wide;
@@ -105,13 +88,7 @@ FtRunResult ft_multistep_multiply(const BigInt& a, const BigInt& b,
                 " distinct columns but the code only tolerates f=" +
                 std::to_string(f) + " lost multipoints");
     }
-    std::vector<std::size_t> alive_cols;
-    for (int c = 0; c < wide; ++c) {
-        if (!doomed.count(c)) alive_cols.push_back(static_cast<std::size_t>(c));
-    }
-    const std::vector<std::size_t> used_cols(
-        alive_cols.begin(), alive_cols.begin() + wide_data);
-    const std::size_t sub_col = alive_cols.front();
+    const PolyLoss loss(doomed, wide, wide_data);
 
     // Evaluation points: S^l plus f redundant multipoints in general
     // position (Section 6.2 heuristic), and the fused evaluation matrices.
@@ -139,13 +116,12 @@ FtRunResult ft_multistep_multiply(const BigInt& a, const BigInt& b,
 
     const ToomPlan tplan = ToomPlan::make(k);
     Machine machine(world, plan);
-    if (cfg.base.events) machine.enable_event_log();
-    core_detail::arm_transport(machine, cfg.base);
+    arm_transport(machine, cfg.base);
     std::vector<std::vector<BigInt>> slices(static_cast<std::size_t>(world));
 
     const std::size_t N = shape.total_digits;
     const auto uwide = static_cast<std::size_t>(wide);
-    const std::size_t kl = ipow(static_cast<std::size_t>(k), l);
+    const std::size_t kl = ipow(static_cast<std::uint64_t>(k), l);
     const std::size_t block = N / kl;         // fused sub-block length
     const std::size_t s0 = block / static_cast<std::size_t>(world);
     const std::size_t rc = 2 * s0;            // old-layout slice of a child
@@ -176,10 +152,8 @@ FtRunResult ft_multistep_multiply(const BigInt& a, const BigInt& b,
         const bool i_fail = rank.phase("mul");
         if (i_fail || col_doomed) return;  // data lost / column halted
 
-        Group column;
-        for (int r = 0; r < height; ++r) {
-            column.members.push_back(r * wide + static_cast<int>(col));
-        }
+        const Group column =
+            Group::strided(static_cast<int>(col), height, wide);
         std::vector<BigInt> child =
             dist_convolve(rank, tplan, shape, column, uwide, std::move(a_new),
                           std::move(b_new), block, dfs, 1);
@@ -187,41 +161,13 @@ FtRunResult ft_multistep_multiply(const BigInt& a, const BigInt& b,
 
         // Backward exchange with substitution for dead rows' result shares.
         rank.phase("xbwd-fused");
-        std::vector<std::vector<BigInt>> pieces(uwide);
-        for (auto& p : pieces) p.reserve(rc);
-        const std::size_t superchunks = child.size() / uwide;
-        for (std::size_t q = 0; q < superchunks; ++q) {
-            for (std::size_t c2 = 0; c2 < uwide; ++c2) {
-                pieces[c2].push_back(std::move(child[q * uwide + c2]));
-            }
-        }
-        // Coalesce pieces sharing a destination (substituted roles) into
-        // one batched delivery; each piece is still charged as its own
-        // message.
-        std::map<int, std::vector<std::pair<int, std::span<const BigInt>>>>
-            outbound;
-        for (std::size_t c2 = 0; c2 < uwide; ++c2) {
-            if (c2 == col) continue;
-            const std::size_t dst_col =
-                doomed.count(static_cast<int>(c2)) ? sub_col : c2;
-            if (dst_col == col) continue;  // substitute keeps it locally
-            outbound[static_cast<int>(row * uwide + dst_col)].emplace_back(
-                60 + static_cast<int>(c2), std::span<const BigInt>(pieces[c2]));
-        }
-        for (const auto& [dst, items] : outbound) {
-            rank.send_bigints_batch(dst, items);
-        }
-        rank.add_latency(uwide - 1);
-
-        std::vector<std::size_t> roles{col};
-        if (col == sub_col) {
-            for (int c : doomed) roles.push_back(static_cast<std::size_t>(c));
-        }
+        const auto pieces = exchange_backward_substituted(rank, loss, row, col,
+                                                          std::move(child));
 
         // On-the-fly multivariate interpolation from the surviving columns.
         rank.phase("interp-fused");
         std::vector<MultiPoint> used_points;
-        for (std::size_t c : used_cols) used_points.push_back(points[c]);
+        for (std::size_t c : loss.used) used_points.push_back(points[c]);
         const Matrix<BigInt> eval_out = multivariate_eval_matrix(
             used_points, static_cast<std::size_t>(npts),
             static_cast<std::size_t>(l));
@@ -237,25 +183,9 @@ FtRunResult ft_multistep_multiply(const BigInt& a, const BigInt& b,
         }
 
         const auto uwide_data = static_cast<std::size_t>(wide_data);
-        auto interp_role = [&](std::size_t role) {
-            std::vector<BigInt> children;
-            children.reserve(uwide_data * rc);
-            for (std::size_t src : used_cols) {
-                if (src == col) {
-                    children.insert(children.end(), pieces[role].begin(),
-                                    pieces[role].end());
-                } else {
-                    auto got = rank.recv_bigints(
-                        static_cast<int>(row * uwide + src),
-                        60 + static_cast<int>(role));
-                    if (got.size() != rc) {
-                        throw std::runtime_error("ft_multistep: piece mismatch");
-                    }
-                    children.insert(children.end(),
-                                    std::make_move_iterator(got.begin()),
-                                    std::make_move_iterator(got.end()));
-                }
-            }
+        interpolate_roles(rank, loss, row, col, [&](std::size_t role) {
+            const auto children = gather_role(rank, loss, row, col, role,
+                                              pieces, rc, "ft_multistep");
             std::vector<BigInt> coeffs(uwide_data * rc);
             op.apply_blocks(children, coeffs, rc);
 
@@ -278,29 +208,9 @@ FtRunResult ft_multistep_multiply(const BigInt& a, const BigInt& b,
                 }
             }
             slices[row * uwide + role] = std::move(out);
-        };
-        interp_role(col);
-        if (roles.size() > 1) {
-            // Substituting for the doomed columns' shares is recovery work.
-            std::vector<int> dead;
-            for (std::size_t i = 1; i < roles.size(); ++i) {
-                dead.push_back(static_cast<int>(row * uwide + roles[i]));
-            }
-            rank.begin_recovery(dead);
-            for (std::size_t i = 1; i < roles.size(); ++i) {
-                interp_role(roles[i]);
-            }
-            rank.end_recovery();
-        }
+        });
     });
-    result.stats = machine.stats();
-    result.transport = machine.transport_stats();
-    result.events = machine.event_log();
-
-    const std::vector<BigInt> full = unslice(slices, 1);
-    BigInt prod = recompose_digits(full, shape.digit_bits);
-    assert(!prod.is_negative());
-    result.product = a.sign() * b.sign() < 0 ? -prod : prod;
+    finish_run(result, machine, slices, a, b);
     return result;
 }
 

@@ -3,36 +3,24 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <map>
 #include <stdexcept>
 #include <tuple>
 
 #include "bigint/random.hpp"
+#include "core/ft_common.hpp"
 #include "core/layout.hpp"
 #include "runtime/collectives.hpp"
-#include "toom/digits.hpp"
 
 namespace ftmul {
 
 namespace {
 
-using core_detail::leaf_multiply;
-using core_detail::local_input_digits;
+using namespace core_detail;
 
 constexpr const char* kEvalPhase = "eval-L0";
 constexpr const char* kLeafPhase = "leaf-mul";
 constexpr const char* kInterpPhase = "interp-L0";
-
-int exact_log(std::uint64_t v, std::uint64_t base) {
-    int l = 0;
-    while (v > 1) {
-        if (v % base != 0) return -1;
-        v /= base;
-        ++l;
-    }
-    return l;
-}
 
 /// Deterministic nonzero error vector a miscalculating rank adds. The seed
 /// is computed in std::uint64_t: the old `rank * 1000003 + salt` as int
@@ -113,29 +101,29 @@ FtSoftResult ft_soft_multiply(const BigInt& a, const BigInt& b,
 
     const ToomPlan tplan = ToomPlan::make(k);
     Machine machine(world);
-    core_detail::arm_transport(machine, cfg.base);
+    arm_transport(machine, cfg.base);
     std::vector<std::vector<BigInt>> slices(static_cast<std::size_t>(P));
     std::atomic<int> detected{0};
     std::atomic<int> corrected{0};
     const auto unpts = static_cast<std::size_t>(npts);
     const std::size_t N = shape.total_digits;
 
-    // Verification + correction at one boundary. Every column: encode, then
-    // f syndrome reduces, then code row 0 locates/corrects. Returns through
-    // `state` (corrected in place on the guilty rank).
-    auto verify_and_correct = [&](Rank& rank, const char* phase, int tag,
+    // Verification + correction at one boundary of column `lc`: f syndrome
+    // reduces, then code row 0 locates/corrects. Returns through `state`
+    // (corrected in place on the guilty rank).
+    auto verify_and_correct = [&](Rank& rank, const LinearColumn& lc,
+                                  const char* phase, int tag,
                                   std::vector<BigInt>& state,
                                   std::vector<BigInt>& my_code) {
-        const bool is_code = rank.id() >= P;
-        const int column = is_code ? (rank.id() - P) % npts : rank.id() % npts;
-        std::vector<int> members;
-        for (int r = 0; r < height; ++r) members.push_back(r * npts + column);
+        const bool is_code = lc.is_code(rank.id());
+        const int column = lc.col;
+        const std::vector<int>& members = lc.members;
 
         rank.phase(std::string("verify-") + phase);
         // Syndrome reduces: s_j = sum_l eta_j^l state_l - code_j at code row j.
         std::vector<BigInt> syndrome;
         for (int j = 0; j < f; ++j) {
-            const int code_rank = P + j * npts + column;
+            const int code_rank = lc.code_rank(j);
             if (is_code && rank.id() != code_rank) continue;
             Group g;
             g.members = members;
@@ -157,8 +145,8 @@ FtSoftResult ft_soft_multiply(const BigInt& a, const BigInt& b,
         }
 
         // Code row 1 ships s_1 to code row 0, which locates and corrects.
-        const int code0 = P + 0 * npts + column;
-        const int code1 = f >= 2 ? P + 1 * npts + column : code0;
+        const int code0 = lc.code_rank(0);
+        const int code1 = f >= 2 ? lc.code_rank(1) : code0;
         if (is_code && rank.id() == code1 && f >= 2) {
             rank.send_bigints(code0, tag + f, syndrome);
         }
@@ -227,64 +215,25 @@ FtSoftResult ft_soft_multiply(const BigInt& a, const BigInt& b,
         }
     };
 
-    // Encode helper identical in spirit to ft_linear's.
-    auto encode = [&](Rank& rank, const std::vector<BigInt>& state, int tag)
-        -> std::vector<BigInt> {
-        const bool is_code = rank.id() >= P;
-        const int column = is_code ? (rank.id() - P) % npts : rank.id() % npts;
-        std::vector<int> members;
-        for (int r = 0; r < height; ++r) members.push_back(r * npts + column);
-        std::vector<BigInt> my_code;
-        for (int j = 0; j < f; ++j) {
-            const int code_rank = P + j * npts + column;
-            if (is_code && rank.id() != code_rank) continue;
-            Group g;
-            g.members = members;
-            g.members.push_back(code_rank);
-            std::vector<BigInt> contribution;
-            if (rank.id() != code_rank) {
-                const BigInt eta{static_cast<std::int64_t>(j + 1)};
-                const BigInt w =
-                    eta.pow(static_cast<std::uint64_t>(rank.id() / npts));
-                contribution.reserve(state.size());
-                for (const BigInt& v : state) contribution.push_back(w * v);
-            }
-            auto s = reduce_sum(rank, g, code_rank, std::move(contribution), tag + j);
-            if (rank.id() == code_rank) my_code = std::move(s);
-        }
-        return my_code;
-    };
-
     machine.run([&](Rank& rank) {
+        // This rank's code column: data ranks {r*npts + c}, code rows
+        // {P + j*npts + c}.
         const bool is_code = rank.id() >= P;
-
-        auto pack = [](const std::vector<BigInt>& x,
-                       const std::vector<BigInt>& y) {
-            std::vector<BigInt> s = x;
-            s.insert(s.end(), y.begin(), y.end());
-            return s;
-        };
-        auto unpack = [](std::vector<BigInt> s, std::vector<BigInt>& x,
-                         std::vector<BigInt>& y) {
-            const std::size_t half = s.size() / 2;
-            y.assign(std::make_move_iterator(s.begin() +
-                                             static_cast<std::ptrdiff_t>(half)),
-                     std::make_move_iterator(s.end()));
-            s.resize(half);
-            x = std::move(s);
-        };
+        const int c = is_code ? (rank.id() - P) % npts : rank.id() % npts;
+        const LinearColumn column{"ft_soft", P, npts, f,
+                                  Group::strided(c, height, npts).members, c};
 
         if (is_code) {
             std::vector<BigInt> none;
             rank.phase("encode-input");
-            auto code = encode(rank, none, 800);
-            verify_and_correct(rank, kEvalPhase, 820, none, code);
+            auto code = encode_column(rank, column, none, 800);
+            verify_and_correct(rank, column, kEvalPhase, 820, none, code);
             rank.phase("encode-leaf");
-            code = encode(rank, none, 840);
-            verify_and_correct(rank, kLeafPhase, 860, none, code);
+            code = encode_column(rank, column, none, 840);
+            verify_and_correct(rank, column, kLeafPhase, 860, none, code);
             rank.phase("encode-children");
-            code = encode(rank, none, 880);
-            verify_and_correct(rank, kInterpPhase, 900, none, code);
+            code = encode_column(rank, column, none, 880);
+            verify_and_correct(rank, column, kInterpPhase, 900, none, code);
             return;
         }
 
@@ -294,15 +243,15 @@ FtSoftResult ft_soft_multiply(const BigInt& a, const BigInt& b,
 
         // --- evaluation boundary ---
         rank.phase("encode-input");
-        std::vector<BigInt> state = pack(a_loc, b_loc);
+        std::vector<BigInt> state = pack_pair(a_loc, b_loc);
         std::vector<BigInt> none;
-        encode(rank, state, 800);
+        encode_column(rank, column, state, 800);
         rank.phase(kEvalPhase);
         if (plan.corrupts_at(kEvalPhase, rank.id())) {
             corrupt(state, rank.id(), 1);
         }
-        verify_and_correct(rank, kEvalPhase, 820, state, none);
-        unpack(std::move(state), a_loc, b_loc);
+        verify_and_correct(rank, column, kEvalPhase, 820, state, none);
+        unpack_pair(std::move(state), a_loc, b_loc);
         state.clear();
 
         // --- forward sweep ---
@@ -334,14 +283,14 @@ FtSoftResult ft_soft_multiply(const BigInt& a, const BigInt& b,
 
         // --- multiplication boundary: verify the leaf inputs first ---
         rank.phase("encode-leaf");
-        state = pack(a_loc, b_loc);
-        encode(rank, state, 840);
+        state = pack_pair(a_loc, b_loc);
+        encode_column(rank, column, state, 840);
         rank.phase(kLeafPhase);
         if (plan.corrupts_at(kLeafPhase, rank.id())) {
             corrupt(state, rank.id(), 2);
         }
-        verify_and_correct(rank, kLeafPhase, 860, state, none);
-        unpack(std::move(state), a_loc, b_loc);
+        verify_and_correct(rank, column, kLeafPhase, 860, state, none);
+        unpack_pair(std::move(state), a_loc, b_loc);
         state.clear();
         std::vector<BigInt> child = leaf_multiply(
             rank, tplan, shape, std::move(a_loc), std::move(b_loc));
@@ -359,35 +308,25 @@ FtSoftResult ft_soft_multiply(const BigInt& a, const BigInt& b,
 
             if (lv == 0) {
                 rank.phase("encode-children");
-                encode(rank, children, 880);
+                encode_column(rank, column, children, 880);
                 rank.phase(kInterpPhase);
                 if (plan.corrupts_at(kInterpPhase, rank.id())) {
                     corrupt(children, rank.id(), 3);
                 }
-                verify_and_correct(rank, kInterpPhase, 900, children, none);
+                verify_and_correct(rank, column, kInterpPhase, 900, children,
+                                   none);
             } else {
                 rank.phase("interp-L" + lvl);
             }
             std::vector<BigInt> coeffs(unpts * rc);
             tplan.interpolation().apply_blocks(children, coeffs, rc);
-            child.assign(2 * L.len / m, BigInt{});
-            for (std::size_t i = 0; i < unpts; ++i) {
-                for (std::size_t t = 0; t < rc; ++t) {
-                    child[i * s + t] += coeffs[i * rc + t];
-                }
-            }
+            child = fold_blocks_local(coeffs, unpts, rc, s, 2 * L.len / m);
         }
         slices[static_cast<std::size_t>(rank.id())] = std::move(child);
     });
-    result.stats = machine.stats();
-    result.transport = machine.transport_stats();
+    finish_run(result, machine, slices, a, b);
     result.corruptions_detected = detected.load();
     result.corruptions_corrected = corrected.load();
-
-    const std::vector<BigInt> full = unslice(slices, 1);
-    BigInt prod = recompose_digits(full, shape.digit_bits);
-    assert(!prod.is_negative());
-    result.product = a.sign() * b.sign() < 0 ? -prod : prod;
     return result;
 }
 

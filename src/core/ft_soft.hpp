@@ -1,5 +1,6 @@
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,6 +33,9 @@ struct FtSoftResult {
     /// Transport-guard accounting of the run (all zeros when the guard and
     /// the data-plane fault model were off).
     TransportStats transport;
+
+    /// Typed event log of the run, when ParallelConfig::events was set.
+    std::shared_ptr<EventLog> events;
 };
 
 /// Fault-tolerant parallel Toom-Cook against soft faults: the Section 4.1

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/ft_common.hpp"
 #include "core/layout.hpp"
 #include "runtime/metrics.hpp"
 #include "toom/digits.hpp"
@@ -14,19 +15,6 @@
 namespace ftmul {
 
 namespace core_detail {
-
-void arm_transport(Machine& machine, const ParallelConfig& cfg) {
-    if (cfg.transport_guard || cfg.transport_faults.active()) {
-        machine.set_transport_guard(true);
-        machine.set_transport_retain_depth(cfg.transport_retain_depth);
-        machine.set_transport_stash_limit(cfg.transport_stash_limit);
-        machine.set_transport_ack_interval(cfg.transport_ack_interval);
-        machine.set_transport_ack_delay(cfg.transport_ack_delay_rounds);
-    }
-    if (cfg.transport_faults.active()) {
-        machine.set_transport_faults(cfg.transport_faults);
-    }
-}
 
 namespace {
 
@@ -39,26 +27,6 @@ std::vector<std::size_t> base_rows(const ToomPlan& plan) {
 std::uint64_t words_estimate(const ResolvedShape& shape, std::size_t digits) {
     return static_cast<std::uint64_t>(digits) *
            ((shape.digit_bits + 63) / 64 + 2);
-}
-
-/// Overlap-add the npts interpolated coefficient blocks (each the positional
-/// result of a len/k sub-product, rc local values) into the positional result
-/// of the len-sized problem (2*len/m local values). Block i sits at global
-/// offset i*(len/k), i.e. local offset i*(len/k)/m — whole cyclic cycles, so
-/// the operation is fully local.
-std::vector<BigInt> fold_blocks_local(std::span<const BigInt> blocks,
-                                      std::size_t npts, std::size_t rc,
-                                      std::size_t block_gap_local,
-                                      std::size_t out_local_len) {
-    assert(blocks.size() == npts * rc);
-    assert((npts - 1) * block_gap_local + rc <= out_local_len);
-    std::vector<BigInt> out(out_local_len);
-    for (std::size_t i = 0; i < npts; ++i) {
-        for (std::size_t t = 0; t < rc; ++t) {
-            out[i * block_gap_local + t] += blocks[i * rc + t];
-        }
-    }
-    return out;
 }
 
 }  // namespace
@@ -252,8 +220,7 @@ ParallelRunResult parallel_toom_multiply(const BigInt& a, const BigInt& b,
 
     const ToomPlan plan = ToomPlan::make(cfg.k);
     Machine machine(shape.processors);
-    if (cfg.events) machine.enable_event_log();
-    core_detail::arm_transport(machine, cfg);
+    arm_transport(machine, cfg);
     std::vector<std::vector<BigInt>> slices(
         static_cast<std::size_t>(shape.processors));
 
@@ -274,20 +241,9 @@ ParallelRunResult parallel_toom_multiply(const BigInt& a, const BigInt& b,
         auto out = dist_convolve_steps(rank, plan, shape, world, 1,
                                        std::move(a_loc), std::move(b_loc),
                                        shape.total_digits, steps, 0);
-        // The algorithm's output is distributed (as in the paper); assembly
-        // below is verification plumbing outside the cost model.
         slices[static_cast<std::size_t>(rank.id())] = std::move(out);
     });
-    result.stats = machine.stats();
-    result.transport = machine.transport_stats();
-    result.events = machine.event_log();
-
-    // The distributed result is the positional coefficient vector of the
-    // product polynomial; one carry pass recomposes the integer.
-    const std::vector<BigInt> full = unslice(slices, 1);
-    BigInt prod = recompose_digits(full, shape.digit_bits);
-    assert(!prod.is_negative());
-    result.product = a.sign() * b.sign() < 0 ? -prod : prod;
+    finish_run(result, machine, slices, a, b);
     return result;
 }
 

@@ -41,13 +41,7 @@ ParallelRunResult parallel_toom_multiply(const BigInt& a, const BigInt& b,
 
 namespace core_detail {
 
-/// Internals shared by the FT variants.
-
-/// Arm the transport guard / fault-injection shim on a freshly constructed
-/// machine per cfg (no-op when neither is requested). Every engine calls
-/// this right after building its Machine so the whole family honors the
-/// same transport configuration.
-void arm_transport(Machine& machine, const ParallelConfig& cfg);
+/// Internals shared by the FT variants (see also core/ft_common.hpp).
 
 /// This rank's slice of the split digits of |v| (layout bs=1 over P ranks).
 std::vector<BigInt> local_input_digits(const BigInt& v,

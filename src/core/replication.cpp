@@ -1,19 +1,15 @@
 #include "core/replication.hpp"
 #include "runtime/metrics.hpp"
 
-#include <cassert>
+#include <algorithm>
 #include <set>
 #include <stdexcept>
 
-#include "core/layout.hpp"
-#include "toom/digits.hpp"
+#include "core/ft_common.hpp"
 
 namespace ftmul {
 
-namespace {
-using core_detail::dist_convolve;
-using core_detail::local_input_digits;
-}  // namespace
+using namespace core_detail;
 
 FtRunResult replicated_toom_multiply(const BigInt& a, const BigInt& b,
                                      const ReplicationConfig& cfg,
@@ -59,8 +55,7 @@ FtRunResult replicated_toom_multiply(const BigInt& a, const BigInt& b,
 
     const ToomPlan tplan = ToomPlan::make(cfg.base.k);
     Machine machine(world, plan);
-    if (cfg.base.events) machine.enable_event_log();
-    core_detail::arm_transport(machine, cfg.base);
+    arm_transport(machine, cfg.base);
     std::vector<std::vector<BigInt>> slices(static_cast<std::size_t>(P));
 
     std::set<int> scheduled;
@@ -93,14 +88,7 @@ FtRunResult replicated_toom_multiply(const BigInt& a, const BigInt& b,
             slices[static_cast<std::size_t>(local_id)] = std::move(out);
         }
     });
-    result.stats = machine.stats();
-    result.transport = machine.transport_stats();
-    result.events = machine.event_log();
-
-    const std::vector<BigInt> full = unslice(slices, 1);
-    BigInt prod = recompose_digits(full, shape.digit_bits);
-    assert(!prod.is_negative());
-    result.product = a.sign() * b.sign() < 0 ? -prod : prod;
+    finish_run(result, machine, slices, a, b);
     return result;
 }
 

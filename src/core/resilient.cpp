@@ -17,22 +17,6 @@ namespace ftmul {
 
 namespace {
 
-int exact_log(std::uint64_t v, std::uint64_t base) {
-    int l = 0;
-    while (v > 1) {
-        if (v % base != 0) return -1;
-        v /= base;
-        ++l;
-    }
-    return l;
-}
-
-std::size_t ipow(std::size_t b, int e) {
-    std::size_t r = 1;
-    for (int i = 0; i < e; ++i) r *= b;
-    return r;
-}
-
 std::vector<int> iota_ranks(int n) {
     std::vector<int> r(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) r[static_cast<std::size_t>(i)] = i;
@@ -170,7 +154,7 @@ FaultSurface fault_surface(const ResilientConfig& cfg) {
         }
         case FtEngine::Multistep: {
             const auto wide_data = static_cast<int>(
-                ipow(static_cast<std::size_t>(npts), cfg.fused_steps));
+                ipow(static_cast<std::uint64_t>(npts), cfg.fused_steps));
             if (cfg.fused_steps < 1 || bfs < cfg.fused_steps) {
                 throw std::invalid_argument(
                     "fault_surface: need processors >= (2k-1)^fused_steps");
@@ -342,33 +326,11 @@ ResilientResult resilient_multiply(const BigInt& a, const BigInt& b,
         may_escalate("checkpoint-fallback")) {
         FaultPlan plan;
         if (retry_plans) plan = retry_plans("checkpoint-fallback", 0);
-        ResilientAttempt att;
-        att.strategy = "checkpoint-fallback";
-        att.faults_injected = static_cast<int>(plan.total_faults());
-        try {
-            FtRunResult r = checkpoint_toom_multiply(
-                a, b, CheckpointConfig{retry_cfg.base}, plan);
-            att.success = true;
-            att.stats = r.stats;
-            att.transport = r.transport;
-            result.transport += r.transport;
-            note_rung("hard", "checkpoint-fallback", true, &r.stats);
-            accumulate(result.stats, r.stats);
-            result.product = std::move(r.product);
-            result.shape = r.shape;
-            result.events = std::move(r.events);
-            result.attempts.push_back(std::move(att));
+        ResilientConfig ckpt_cfg = retry_cfg;
+        ckpt_cfg.engine = FtEngine::Checkpoint;
+        if (attempt(ckpt_cfg, "checkpoint-fallback", "checkpoint-fallback",
+                    plan)) {
             return result;
-        } catch (const TransportFault& tf) {
-            att.error = tf.what();
-            note_rung("hard", "checkpoint-fallback", false, nullptr);
-            result.attempts.push_back(std::move(att));
-            last_error = std::current_exception();
-        } catch (const UnrecoverableFault& uf) {
-            att.error = uf.what();
-            note_rung("hard", "checkpoint-fallback", false, nullptr);
-            result.attempts.push_back(std::move(att));
-            last_error = std::current_exception();
         }
     }
 
@@ -428,6 +390,7 @@ ResilientResult resilient_soft_multiply(const BigInt& a, const BigInt& b,
             note_rung("soft", rung, true, &r.stats);
             result.product = std::move(r.product);
             result.shape = r.shape;
+            result.events = std::move(r.events);
             result.attempts.push_back(std::move(att));
             return true;
         } catch (const TransportFault& tf) {

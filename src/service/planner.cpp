@@ -4,20 +4,11 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/config.hpp"
+
 namespace ftmul {
 
 namespace {
-
-/// Exact log_{base}(v); -1 when v is not a positive power of base.
-int exact_log(std::uint64_t v, std::uint64_t base) {
-    int l = 0;
-    while (v > 1) {
-        if (v % base != 0) return -1;
-        v /= base;
-        ++l;
-    }
-    return l;
-}
 
 /// Closed-form sequential Toom-k work on m digits, in word-operations:
 /// T(m) = (2k-1) T(ceil(m/k)) + c*m with a schoolbook base case. Integer

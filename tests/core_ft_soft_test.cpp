@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "bigint/random.hpp"
+#include "core/resilient.hpp"
+#include "runtime/events.hpp"
 
 namespace ftmul {
 namespace {
@@ -110,6 +112,35 @@ TEST(FtSoft, SilentDataCorruptionWouldHaveChangedProduct) {
     auto res = ft_soft_multiply(a, b, make_cfg(2, 9), plan);
     EXPECT_EQ(res.corruptions_detected, 1);
     EXPECT_EQ(res.product, a * b);
+}
+
+TEST(FtSoft, EventLogReachesEngineAndLadderResults) {
+    Rng rng{8};
+    BigInt a = random_bits(rng, 2000), b = random_bits(rng, 1800);
+    SoftFaultPlan plan;
+    plan.add("leaf-mul", 4);
+
+    auto enters_verify_leaf = [](const std::shared_ptr<EventLog>& log) {
+        if (!log) return false;
+        for (const Event& e : log->of_kind(EventKind::PhaseBegin)) {
+            if (e.phase == "verify-leaf-mul") return true;
+        }
+        return false;
+    };
+
+    FtSoftConfig cfg = make_cfg(2, 9);
+    cfg.base.events = true;
+    const auto res = ft_soft_multiply(a, b, cfg, plan);
+    EXPECT_EQ(res.product, a * b);
+    EXPECT_TRUE(enters_verify_leaf(res.events));
+
+    ResilientConfig rcfg;
+    rcfg.base = cfg.base;
+    rcfg.faults = cfg.code_rows;
+    const auto rr = resilient_soft_multiply(a, b, rcfg, plan);
+    EXPECT_EQ(rr.product, a * b);
+    ASSERT_EQ(rr.attempts.size(), 1u);
+    EXPECT_TRUE(enters_verify_leaf(rr.events));
 }
 
 }  // namespace

@@ -74,6 +74,33 @@ TEST(FaultSurface, MatchesEngineGeometry) {
     EXPECT_THROW(fault_surface(bad), std::invalid_argument);
 }
 
+TEST(FaultSurface, WorldAgreesWithEveryEngineRun) {
+    // fault_surface restates each engine's world-size formula; pin it to
+    // what the engine actually allocates at every valid geometry.
+    struct Geometry {
+        int k, P, f;
+    };
+    Rng rng{31};
+    const BigInt a = random_bits(rng, 700), b = -random_bits(rng, 650);
+    const BigInt want = a * b;
+    for (const Geometry& geo : {Geometry{2, 9, 1}, Geometry{2, 9, 2},
+                                Geometry{2, 27, 1}, Geometry{3, 25, 1}}) {
+        for (FtEngine e : kAllEngines) {
+            ResilientConfig cfg = make_cfg(e, geo.f);
+            cfg.base.k = geo.k;
+            cfg.base.processors = geo.P;
+            const std::string where = std::string(to_string(e)) + " k=" +
+                                      std::to_string(geo.k) + " P=" +
+                                      std::to_string(geo.P) + " f=" +
+                                      std::to_string(geo.f);
+            const FaultSurface surface = fault_surface(cfg);
+            const FtRunResult res = run_ft_engine(a, b, cfg, {});
+            EXPECT_EQ(surface.world, geo.P + res.extra_processors) << where;
+            EXPECT_EQ(res.product, want) << where;
+        }
+    }
+}
+
 TEST(RunFtEngine, FaultFreeProductOnEveryEngine) {
     Rng rng{21};
     const BigInt a = random_bits(rng, 900), b = random_bits(rng, 800);
