@@ -1,6 +1,8 @@
 // Microbenchmarks for the allocation-free hot paths: the limb kernels
-// behind BigInt, the sequential Toom leaf path they serve, and the
-// Machine's persistent thread-pool executor.
+// behind BigInt, the sequential Toom leaf path they serve, the machine
+// engines' leaf convolution, and the Machine's persistent thread-pool
+// executor. The full run adds an end-to-end wall table (engine x operand
+// size) that shows what those layers buy one whole multiply.
 //
 // Every optimized kernel is timed against its *_reference twin — the
 // pre-optimization implementation kept verbatim in limb_ops.cpp — inside
@@ -16,8 +18,10 @@
 // rewrite (committed constant, labeled as such), since the original BigInt
 // internals no longer exist in this binary to time live.
 //
-// Usage: bench_kernels [--smoke]   (--smoke = tiny sizes for CI)
+// Usage: bench_kernels [--smoke]   (--smoke = tiny sizes for CI, and no
+// end-to-end wall table)
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -30,7 +34,11 @@
 #include "bigint/limb_ops.hpp"
 #include "bigint/ops_counter.hpp"
 #include "bigint/random.hpp"
+#include "core/parallel.hpp"
+#include "core/resilient.hpp"
 #include "runtime/machine.hpp"
+#include "toom/kronecker.hpp"
+#include "toom/lazy.hpp"
 #include "toom/plan.hpp"
 #include "toom/sequential.hpp"
 
@@ -224,6 +232,124 @@ void toom_end_to_end_table(bench::JsonReport& report, bool smoke) {
     report.add_table("sequential Toom end-to-end (k=2)", rows, baseline);
 }
 
+/// Median wall-clock of 7 back-to-back calls of @p op.
+template <typename F>
+double median_ns(F&& op) {
+    constexpr int kReps = 7;
+    std::vector<double> ns(kReps);
+    for (double& t : ns) {
+        const auto t0 = Clock::now();
+        op();
+        t = std::chrono::duration<double, std::nano>(Clock::now() - t0).count();
+    }
+    std::sort(ns.begin(), ns.end());
+    return ns[kReps / 2];
+}
+
+/// The planner-default machine geometry (k=2, P=9, 32-bit digits) the
+/// leaf and end-to-end tables run at.
+ParallelConfig engine_config() {
+    ParallelConfig c;
+    c.k = 2;
+    c.processors = 9;
+    c.digit_bits = 32;
+    return c;
+}
+
+void leaf_convolve_table(bench::JsonReport& report, bool smoke) {
+    bench::print_header("machine-engine leaf: lazy Toom vs Kronecker");
+    // One leaf of an 80,000-bit multiply (8,000 under --smoke): leaf_len
+    // signed digits of digit_bits + 2 bits, the growth of two evaluation
+    // levels plus a sign.
+    Rng rng{17};
+    const ParallelConfig cfg = engine_config();
+    const ResolvedShape shape = resolve_shape(cfg, smoke ? 8000 : 80000);
+    const ToomPlan plan = ToomPlan::make(cfg.k);
+    std::vector<BigInt> a(shape.leaf_len), b(shape.leaf_len);
+    for (BigInt& d : a) d = random_signed_bits(rng, cfg.digit_bits + 2);
+    for (BigInt& d : b) d = random_signed_bits(rng, cfg.digit_bits + 2);
+    std::vector<BigInt> lazy, kron;
+    const auto run_lazy = [&] {
+        lazy = toom_convolve(plan, a, b, shape.base_len);
+    };
+    const auto run_kron = [&] {
+        kron = kronecker_convolve(a, b, [&](const BigInt& x, const BigInt& y) {
+            return toom_multiply(x, y, plan);
+        });
+    };
+    const std::uint64_t f_lazy = charged_flops(run_lazy);
+    const std::uint64_t f_kron = charged_flops(run_kron);
+    const bool ok = lazy == kron;
+    const int iters = smoke ? 4 : 2;
+    const int rounds = smoke ? 3 : 5;
+    const auto [lazy_ns, kron_ns] = ab_time_ns(run_lazy, run_kron, iters, rounds);
+    const std::string len = std::to_string(shape.leaf_len);
+    std::vector<bench::Row> rows;
+    rows.push_back(kernel_row("leaf_convolve/" + len + "/toom_convolve",
+                              lazy_ns, f_lazy, ok));
+    rows.push_back(kernel_row("leaf_convolve/" + len + "/kronecker", kron_ns,
+                              f_kron, ok));
+    std::printf("leaf %s digits: toom_convolve %.3f ms  kronecker %.3f ms  "
+                "speedup %5.2fx  output %s\n",
+                len.c_str(), lazy_ns / 1e6, kron_ns / 1e6, lazy_ns / kron_ns,
+                ok ? "identical" : "MISMATCH");
+    bench::print_rows(rows, 0);
+    report.add_table("machine-engine leaf convolution", rows, 0);
+}
+
+void end_to_end_wall_table(bench::JsonReport& report) {
+    bench::print_header("end-to-end wall: engine x operand size");
+    // Median wall of one whole multiply per (engine, size) at the planner
+    // default geometry, no faults; every product is checked against the
+    // schoolbook one.
+    const ParallelConfig base = engine_config();
+    const ToomPlan seq_plan = ToomPlan::make(base.k);
+    ResilientConfig repl;
+    repl.engine = FtEngine::Replication;
+    repl.base = base;
+    repl.faults = 1;
+    ResilientConfig poly = repl;
+    poly.engine = FtEngine::Poly;
+    Rng rng{19};
+    std::vector<bench::Row> rows;
+    for (std::size_t bits : {8000u, 32000u, 80000u}) {
+        const BigInt a = random_bits(rng, bits);
+        const BigInt b = random_bits(rng, bits);
+        const BigInt want = a * b;
+        const std::string tag = std::to_string(bits);
+        BigInt seq;
+        const double seq_ns =
+            median_ns([&] { seq = toom_multiply(a, b, seq_plan); });
+        rows.push_back(kernel_row(
+            "e2e/seq/" + tag, seq_ns,
+            charged_flops([&] { seq = toom_multiply(a, b, seq_plan); }),
+            seq == want));
+        ParallelRunResult par;
+        const double par_ns =
+            median_ns([&] { par = parallel_toom_multiply(a, b, base); });
+        rows.push_back(bench::stats_row("e2e/parallel/" + tag, par.stats,
+                                        base.processors, 0, 0,
+                                        par.product == want));
+        rows.back().wall_ns = par_ns;
+        for (const ResilientConfig* cfg : {&repl, &poly}) {
+            FtRunResult ft;
+            const double ft_ns =
+                median_ns([&] { ft = run_ft_engine(a, b, *cfg, FaultPlan{}); });
+            rows.push_back(bench::stats_row(
+                std::string("e2e/") + to_string(cfg->engine) + "/" + tag,
+                ft.stats, base.processors, ft.extra_processors, cfg->faults,
+                ft.product == want));
+            rows.back().wall_ns = ft_ns;
+        }
+    }
+    for (const bench::Row& r : rows) {
+        std::printf("%-22s %10.3f ms%s\n", r.name.c_str(), r.wall_ns / 1e6,
+                    r.ok ? "" : "  WRONG PRODUCT");
+    }
+    bench::print_rows(rows, 0);
+    report.add_table("end-to-end wall: engine x size (bits)", rows, 0);
+}
+
 void machine_reuse_table(bench::JsonReport& report, bool smoke) {
     bench::print_header("Machine executor: spawn-per-run vs persistent pool");
     const int world = 9;
@@ -282,7 +408,9 @@ int main(int argc, char** argv) {
     ftmul::leaf_path_table(report, smoke);
     ftmul::addsub_table(report, smoke);
     ftmul::toom_end_to_end_table(report, smoke);
+    ftmul::leaf_convolve_table(report, smoke);
     ftmul::machine_reuse_table(report, smoke);
+    if (!smoke) ftmul::end_to_end_wall_table(report);
     report.write();
     return 0;
 }

@@ -1,17 +1,20 @@
 // Polynomial multiplication (paper Section 1: "Toom-Cook algorithms are
 // often used in polynomial multiplication as well"): multiply two integer
 // polynomials — here the NTRU-like ring flavor used by lattice
-// cryptography, coefficients reduced mod q — through toom_convolve, the same
-// carry-free kernel the parallel algorithm runs at its leaves.
+// cryptography, coefficients reduced mod q — by Kronecker substitution: both
+// polynomials are packed into one integer each and multiplied by sequential
+// Toom-Cook, the same route the parallel algorithm's leaves take.
 //
 //   ./poly_multiply [degree] [q]
 
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 
 #include "bigint/random.hpp"
 #include "toom/digits.hpp"
-#include "toom/lazy.hpp"
+#include "toom/kronecker.hpp"
+#include "toom/sequential.hpp"
 
 int main(int argc, char** argv) {
     using namespace ftmul;
@@ -33,9 +36,15 @@ int main(int argc, char** argv) {
                 "%lld\n",
                 n - 1, static_cast<long long>(q));
 
-    // Toom-Cook-3 convolution (exact over Z), then reduce mod q.
+    // Exact product over Z through one Toom-Cook-3 integer multiply, then
+    // reduce mod q.
     const ToomPlan plan = ToomPlan::make(3);
-    std::vector<BigInt> h = toom_convolve(plan, f, g, /*base_len=*/8);
+    const auto coeff_bits = static_cast<std::size_t>(
+        std::bit_width(static_cast<std::uint64_t>(q - 1)));
+    std::vector<BigInt> h = kronecker_poly_multiply(
+        f, g, coeff_bits, [&](const BigInt& x, const BigInt& y) {
+            return toom_multiply(x, y, plan);
+        });
     const BigInt qq{q};
     for (auto& c : h) c = BigInt::mod_floor(c, qq);
 
@@ -45,7 +54,8 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; ok && i < ref.size(); ++i) {
         ok = BigInt::mod_floor(ref[i], qq) == h[i];
     }
-    std::printf("product degree: %zu; toom vs schoolbook: %s\n", h.size() - 1,
+    std::printf("product degree: %zu; kronecker vs schoolbook: %s\n",
+                h.size() - 1,
                 ok ? "ok" : "MISMATCH");
 
     // Negacyclic reduction x^n = -1 (the R_q = Z_q[x]/(x^n + 1) ring of

@@ -25,7 +25,9 @@ struct ParallelConfig {
     /// limited, the algorithm prepends DFS steps per Lemma 3.1.
     std::uint64_t memory_limit_words = 0;
 
-    /// Sequential recursion cutoff inside a leaf block (digits).
+    /// Base-case length (digits) of the lazy digit-vector convolution
+    /// `toom_convolve`, the reference the leaf is tested against. The leaf
+    /// itself (one Kronecker-packed product) does not read it.
     std::size_t base_len = 4;
 
     /// Force an exact number of DFS steps (-1 = derive from the memory

@@ -9,8 +9,8 @@
 #include "core/ft_common.hpp"
 #include "core/layout.hpp"
 #include "runtime/metrics.hpp"
-#include "toom/digits.hpp"
-#include "toom/lazy.hpp"
+#include "toom/kronecker.hpp"
+#include "toom/sequential.hpp"
 
 namespace ftmul {
 
@@ -52,13 +52,19 @@ std::vector<BigInt> leaf_multiply(Rank& rank, const ToomPlan& plan,
                                   std::vector<BigInt> a_loc,
                                   std::vector<BigInt> b_loc) {
     (void)rank;
+    (void)shape;
     // The leaf result must be the *carry-free* coefficient vector of the
     // product polynomial: ancestor interpolations and overlap-adds act
     // digit-wise, and their exact divisions hold only as polynomial
-    // identities. Sequential Toom-Cook with lazy interpolation computes the
-    // convolution; pad to exactly twice the input length.
+    // identities. Kronecker substitution packs each (signed) digit vector
+    // into one integer, one sequential Toom-Cook product carries the whole
+    // convolution, and a balanced unpack recovers it; pad to exactly twice
+    // the input length.
     const std::size_t len = a_loc.size();
-    std::vector<BigInt> conv = toom_convolve(plan, a_loc, b_loc, shape.base_len);
+    std::vector<BigInt> conv = kronecker_convolve(
+        a_loc, b_loc, [&plan](const BigInt& x, const BigInt& y) {
+            return toom_multiply(x, y, plan);
+        });
     assert(conv.size() == 2 * len - 1);
     conv.resize(2 * len);
     return conv;

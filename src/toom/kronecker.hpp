@@ -19,11 +19,44 @@ namespace ftmul {
 std::size_t kronecker_slot_bits(std::size_t coeff_bits, std::size_t min_len);
 
 /// Pack coefficients (non-negative, each < 2^slot_bits) at x = 2^slot_bits.
+/// Throws std::invalid_argument for a coefficient out of that range.
 BigInt kronecker_pack(std::span<const BigInt> coeffs, std::size_t slot_bits);
 
 /// Unpack @p count coefficients of @p slot_bits each.
 std::vector<BigInt> kronecker_unpack(const BigInt& packed,
                                      std::size_t slot_bits, std::size_t count);
+
+/// Signed Kronecker substitution. Coefficients of either sign are packed
+/// into one signed integer at x = 2^slot_bits, and the product is unpacked
+/// into balanced digits in [-2^(slot_bits-1), 2^(slot_bits-1)). Pack and
+/// unpack are linear-time limb walks shared with the unsigned API above.
+
+/// Slot width for the signed product of @p a and @p b, from their actual
+/// coefficients: bits(a) + bits(b) + bit_width(min(|a|, |b|)) + 1, where
+/// bits(v) is the largest coefficient bit length in v.
+std::size_t kronecker_signed_slot_bits(std::span<const BigInt> a,
+                                       std::span<const BigInt> b);
+
+/// Pack signed coefficients, each |c| < 2^(slot_bits-1), at x = 2^slot_bits.
+/// Throws std::invalid_argument for a coefficient out of that range or
+/// slot_bits == 0.
+BigInt kronecker_pack_signed(std::span<const BigInt> coeffs,
+                             std::size_t slot_bits);
+
+/// Unpack @p count balanced coefficients of @p slot_bits each (a running
+/// carry moves each negative digit's borrow into the next slot). Exact when
+/// every true coefficient satisfies |c| < 2^(slot_bits-1).
+std::vector<BigInt> kronecker_unpack_signed(const BigInt& packed,
+                                            std::size_t slot_bits,
+                                            std::size_t count);
+
+/// Exact convolution of two signed coefficient vectors through one integer
+/// product: pack both at kronecker_signed_slot_bits, multiply with @p mul
+/// (defaults to schoolbook), unpack |a| + |b| - 1 balanced coefficients.
+/// This is the leaf kernel of every parallel and fault-tolerant engine.
+std::vector<BigInt> kronecker_convolve(
+    std::span<const BigInt> a, std::span<const BigInt> b,
+    const std::function<BigInt(const BigInt&, const BigInt&)>& mul = {});
 
 /// Multiply two polynomials with non-negative coefficients bounded by
 /// 2^coeff_bits via one integer product. @p mul is any integer

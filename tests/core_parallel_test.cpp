@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "bigint/random.hpp"
+#include "toom/lazy.hpp"
 #include "toom/sequential.hpp"
 
 namespace ftmul {
@@ -223,6 +224,84 @@ TEST(Parallel, DfsIncreasesBandwidth) {
     auto twoDfs = parallel_toom_multiply(a, b, cfg);
     EXPECT_GT(twoDfs.stats.critical.words, noDfs.stats.critical.words);
 }
+
+// The Kronecker leaf must agree with its reference, the lazy Toom
+// convolution (paper Algorithm 2), coefficient for coefficient, plus the
+// zero pad.
+class LeafMultiply : public ::testing::TestWithParam<std::size_t> {
+protected:
+    static void expect_matches_oracle(int k, std::vector<BigInt> a,
+                                      std::vector<BigInt> b) {
+        ParallelConfig cfg;
+        cfg.k = k;
+        cfg.processors = 2 * k - 1;
+        cfg.digit_bits = 32;
+        const ResolvedShape shape = resolve_shape(cfg, 32 * 64);
+        const ToomPlan plan = ToomPlan::make(k);
+        std::vector<BigInt> want =
+            toom_convolve(plan, a, b, shape.base_len);
+        want.emplace_back();
+        std::vector<BigInt> got;
+        Machine m(1);
+        m.run([&](Rank& rank) {
+            got = core_detail::leaf_multiply(rank, plan, shape, a, b);
+        });
+        ASSERT_EQ(got.size(), 2 * a.size());
+        EXPECT_EQ(got, want);
+    }
+};
+
+std::vector<BigInt> signed_digits(Rng& rng, std::size_t n, std::size_t bits) {
+    std::vector<BigInt> v(n);
+    for (BigInt& d : v) {
+        d = random_below_2pow(rng, bits);
+        if (rng.next_below(2) == 0) d = -d;
+    }
+    return v;
+}
+
+TEST_P(LeafMultiply, RandomSignedMatchesToomConvolve) {
+    const std::size_t len = GetParam();
+    Rng rng{100 + len};
+    for (int k : {2, 3}) {
+        expect_matches_oracle(k, signed_digits(rng, len, 34),
+                              signed_digits(rng, len, 34));
+    }
+}
+
+TEST_P(LeafMultiply, ZeroOperands) {
+    const std::size_t len = GetParam();
+    Rng rng{200 + len};
+    const std::vector<BigInt> zeros(len);
+    expect_matches_oracle(2, zeros, zeros);
+    expect_matches_oracle(2, signed_digits(rng, len, 40), zeros);
+    expect_matches_oracle(2, zeros, signed_digits(rng, len, 40));
+}
+
+TEST_P(LeafMultiply, ExtremeCoefficients) {
+    // Every coefficient at +-(2^w - 1): the convolution sums reach the slot
+    // bound, and alternating signs make the balanced unpack borrow.
+    const std::size_t len = GetParam();
+    const BigInt top = BigInt::power_of_two(34) - BigInt{1};
+    std::vector<BigInt> pos(len, top), alt(len), neg(len, -top);
+    for (std::size_t i = 0; i < len; ++i) alt[i] = i % 2 == 0 ? top : -top;
+    expect_matches_oracle(2, pos, pos);
+    expect_matches_oracle(2, neg, pos);
+    expect_matches_oracle(2, alt, neg);
+    expect_matches_oracle(3, alt, alt);
+}
+
+TEST_P(LeafMultiply, AsymmetricWidths) {
+    const std::size_t len = GetParam();
+    Rng rng{300 + len};
+    expect_matches_oracle(2, signed_digits(rng, len, 200),
+                          signed_digits(rng, len, 3));
+    expect_matches_oracle(2, signed_digits(rng, len, 1),
+                          signed_digits(rng, len, 130));
+}
+
+INSTANTIATE_TEST_SUITE_P(Lengths, LeafMultiply,
+                         ::testing::Values(1, 2, 3, 7, 36, 630));
 
 }  // namespace
 }  // namespace ftmul

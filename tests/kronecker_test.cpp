@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bigint/ops_counter.hpp"
 #include "bigint/random.hpp"
 #include "core/ft_poly.hpp"
 #include "toom/digits.hpp"
@@ -95,6 +96,94 @@ TEST(Kronecker, RidesTheFaultTolerantParallelEngine) {
         });
     EXPECT_EQ(via_ft, convolve_schoolbook(a, b));
 }
+
+TEST(KroneckerSigned, SlotBitsFromActualCoefficients) {
+    const std::vector<BigInt> a{BigInt{-255}, BigInt{3}};  // 8 bits
+    const std::vector<BigInt> b{BigInt{1}, BigInt{0}, BigInt{-15}};  // 4 bits
+    // 8 + 4 + bit_width(min(2, 3)) = 2, plus the sign bit.
+    EXPECT_EQ(kronecker_signed_slot_bits(a, b), 15u);
+    const std::vector<BigInt> zeros(4);
+    EXPECT_EQ(kronecker_signed_slot_bits(zeros, zeros), 4u);
+}
+
+TEST(KroneckerSigned, PackRejectsOutOfRange) {
+    std::vector<BigInt> bad{BigInt{-(1 << 9)}};
+    EXPECT_THROW(kronecker_pack_signed(bad, 10), std::invalid_argument);
+    EXPECT_THROW(kronecker_pack_signed(bad, 0), std::invalid_argument);
+    EXPECT_THROW(kronecker_unpack_signed(BigInt{1}, 0, 1),
+                 std::invalid_argument);
+    std::vector<BigInt> ok{BigInt{-(1 << 9) + 1}};
+    EXPECT_EQ(kronecker_unpack_signed(kronecker_pack_signed(ok, 10), 10, 1),
+              ok);
+}
+
+TEST(KroneckerSigned, RoundTripBorrowsAcrossEverySlot) {
+    // Slot widths on and off limb boundaries; every negative coefficient
+    // borrows from the slot above it, so the running carry crosses every
+    // slot boundary, including the all-ones slot values a borrow turns into
+    // 2^slot.
+    Rng rng{3};
+    for (std::size_t slot : {2u, 3u, 7u, 63u, 64u, 65u, 128u, 131u}) {
+        const BigInt edge = BigInt::power_of_two(slot - 1) - BigInt{1};
+        for (int pattern = 0; pattern < 4; ++pattern) {
+            std::vector<BigInt> coeffs(37);
+            for (std::size_t i = 0; i < coeffs.size(); ++i) {
+                switch (pattern) {
+                    case 0: coeffs[i] = i % 2 == 0 ? -edge : edge; break;
+                    case 1: coeffs[i] = -edge; break;
+                    case 2: coeffs[i] = i % 3 == 0 ? BigInt{} : -BigInt{1}; break;
+                    default:
+                        coeffs[i] = random_below_2pow(rng, slot - 1);
+                        if (rng.next_below(2) == 0) coeffs[i] = -coeffs[i];
+                }
+            }
+            const BigInt packed = kronecker_pack_signed(coeffs, slot);
+            EXPECT_EQ(kronecker_unpack_signed(packed, slot, coeffs.size()),
+                      coeffs)
+                << "slot " << slot << " pattern " << pattern;
+        }
+    }
+}
+
+TEST(KroneckerSigned, PackChargesLinearWork) {
+    // Pack and unpack are limb walks: doubling the length roughly doubles
+    // the charge (the old shift-and-add pack grew quadratically).
+    Rng rng{4};
+    const auto charge = [&](std::size_t n) {
+        std::vector<BigInt> v(n);
+        for (BigInt& c : v) c = -random_below_2pow(rng, 40);
+        const std::uint64_t before = OpsCounter::get();
+        const BigInt packed = kronecker_pack_signed(v, 90);
+        (void)kronecker_unpack_signed(packed, 90, n);
+        return OpsCounter::get() - before;
+    };
+    const std::uint64_t small = charge(1000);
+    const std::uint64_t large = charge(4000);
+    EXPECT_LE(large, 5 * small);
+}
+
+class KroneckerConvolveSweep : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(KroneckerConvolveSweep, MatchesSchoolbookOnSignedCoefficients) {
+    Rng rng{GetParam()};
+    const std::size_t la = 1 + rng.next_below(200);
+    const std::size_t lb = 1 + rng.next_below(200);
+    const std::size_t wa = rng.next_below(100);
+    const std::size_t wb = rng.next_below(100);
+    std::vector<BigInt> a(la), b(lb);
+    for (auto& v : a) v = random_signed_bits(rng, wa);
+    for (auto& v : b) v = random_signed_bits(rng, wb);
+    EXPECT_EQ(kronecker_convolve(a, b), convolve_schoolbook(a, b));
+    const ToomPlan plan = ToomPlan::make(3);
+    EXPECT_EQ(kronecker_convolve(a, b,
+                                 [&](const BigInt& x, const BigInt& y) {
+                                     return toom_multiply(x, y, plan);
+                                 }),
+              convolve_schoolbook(a, b));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, KroneckerConvolveSweep,
+                         ::testing::Range<std::uint64_t>(1, 9));
 
 }  // namespace
 }  // namespace ftmul
