@@ -1,8 +1,9 @@
 // Microbenchmarks for the allocation-free hot paths: the limb kernels
 // behind BigInt, the sequential Toom leaf path they serve, the machine
-// engines' leaf convolution, and the Machine's persistent thread-pool
-// executor. The full run adds an end-to-end wall table (engine x operand
-// size) that shows what those layers buy one whole multiply.
+// engines' leaf convolution and product assembly, and the Machine's
+// persistent thread-pool executor. The full run adds an end-to-end wall
+// table (engine x operand size) that shows what those layers buy one whole
+// multiply.
 //
 // Every optimized kernel is timed against its *_reference twin — the
 // pre-optimization implementation kept verbatim in limb_ops.cpp — inside
@@ -34,9 +35,11 @@
 #include "bigint/limb_ops.hpp"
 #include "bigint/ops_counter.hpp"
 #include "bigint/random.hpp"
+#include "core/layout.hpp"
 #include "core/parallel.hpp"
 #include "core/resilient.hpp"
 #include "runtime/machine.hpp"
+#include "toom/digits.hpp"
 #include "toom/kronecker.hpp"
 #include "toom/lazy.hpp"
 #include "toom/plan.hpp"
@@ -297,6 +300,49 @@ void leaf_convolve_table(bench::JsonReport& report, bool smoke) {
     report.add_table("machine-engine leaf convolution", rows, 0);
 }
 
+void assemble_table(bench::JsonReport& report, bool smoke) {
+    bench::print_header("product assembly: Horner vs linear carry walk");
+    // The product of an 80,000-bit multiply at 32-bit digits has 5,000
+    // coefficients (500 under --smoke) of up to 76 bits, here dealt over
+    // ten cyclic slices. "horner" is the old engine assembly (unslice, then
+    // recompose_digits), "linear" the kronecker_assemble walk.
+    Rng rng{23};
+    const std::size_t coeffs = smoke ? 500 : 5000;
+    const std::size_t p = 10;
+    const std::size_t digit_bits = 32;
+    std::vector<std::vector<BigInt>> slices(p,
+                                            std::vector<BigInt>(coeffs / p));
+    for (auto& slice : slices) {
+        for (BigInt& c : slice) c = random_below_2pow(rng, 76);
+    }
+    BigInt horner, linear;
+    const auto run_horner = [&] {
+        horner = recompose_digits(unslice(slices, 1), digit_bits);
+    };
+    const auto run_linear = [&] {
+        linear = kronecker_assemble(slices, digit_bits);
+    };
+    const std::uint64_t f_horner = charged_flops(run_horner);
+    const std::uint64_t f_linear = charged_flops(run_linear);
+    const bool ok = horner == linear;
+    const int iters = smoke ? 20 : 3;
+    const int rounds = smoke ? 3 : 5;
+    const auto [horner_ns, linear_ns] =
+        ab_time_ns(run_horner, run_linear, iters, rounds);
+    const std::string n = std::to_string(coeffs);
+    std::vector<bench::Row> rows;
+    rows.push_back(
+        kernel_row("assemble/" + n + "/horner", horner_ns, f_horner, ok));
+    rows.push_back(
+        kernel_row("assemble/" + n + "/linear", linear_ns, f_linear, ok));
+    std::printf("assemble %s coefficients: horner %.3f ms  linear %.3f ms  "
+                "speedup %5.2fx  output %s\n",
+                n.c_str(), horner_ns / 1e6, linear_ns / 1e6,
+                horner_ns / linear_ns, ok ? "identical" : "MISMATCH");
+    bench::print_rows(rows, 0);
+    report.add_table("product assembly", rows, 0);
+}
+
 void end_to_end_wall_table(bench::JsonReport& report) {
     bench::print_header("end-to-end wall: engine x operand size");
     // Median wall of one whole multiply per (engine, size) at the planner
@@ -409,6 +455,7 @@ int main(int argc, char** argv) {
     ftmul::addsub_table(report, smoke);
     ftmul::toom_end_to_end_table(report, smoke);
     ftmul::leaf_convolve_table(report, smoke);
+    ftmul::assemble_table(report, smoke);
     ftmul::machine_reuse_table(report, smoke);
     if (!smoke) ftmul::end_to_end_wall_table(report);
     report.write();

@@ -22,7 +22,9 @@ public:
     static void reset() noexcept { tally_ = 0; }
 
 private:
-    static thread_local std::uint64_t tally_;
+    // Defined here, constant-initialized: every TU reads the slot directly
+    // instead of through a TLS wrapper call.
+    static inline constinit thread_local std::uint64_t tally_ = 0;
 };
 
 }  // namespace ftmul

@@ -5,11 +5,10 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/layout.hpp"
 #include "linalg/exact_solve.hpp"
 #include "runtime/collectives.hpp"
 #include "runtime/fault.hpp"
-#include "toom/digits.hpp"
+#include "toom/kronecker.hpp"
 
 namespace ftmul::core_detail {
 
@@ -44,8 +43,7 @@ void arm_transport(Machine& machine, const ParallelConfig& cfg) {
 BigInt signed_product(const std::vector<std::vector<BigInt>>& slices,
                       std::size_t digit_bits, const BigInt& a,
                       const BigInt& b) {
-    const std::vector<BigInt> full = unslice(slices, 1);
-    BigInt prod = recompose_digits(full, digit_bits);
+    BigInt prod = kronecker_assemble(slices, digit_bits);
     assert(!prod.is_negative());
     return a.sign() * b.sign() < 0 ? -prod : prod;
 }

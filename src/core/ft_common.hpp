@@ -28,7 +28,8 @@ namespace ftmul::core_detail {
 void arm_transport(Machine& machine, const ParallelConfig& cfg);
 
 /// The signed product a*b from the ranks' positional result slices (layout
-/// bs=1): one carry pass recomposes |a*b|, the operand signs fix the sign.
+/// bs=1): one linear carry walk (kronecker_assemble) recomposes |a*b|
+/// straight from the slices, the operand signs fix the sign.
 BigInt signed_product(const std::vector<std::vector<BigInt>>& slices,
                       std::size_t digit_bits, const BigInt& a,
                       const BigInt& b);

@@ -29,11 +29,12 @@ namespace ftmul {
 std::vector<std::size_t> owned_positions(std::size_t len, std::size_t bs,
                                          std::size_t m, std::size_t j);
 
-/// Extract the local slice of a full vector (testing / result assembly).
+/// Extract the local slice of a full vector (tests and benches).
 std::vector<BigInt> slice_of(const std::vector<BigInt>& full, std::size_t bs,
                              std::size_t m, std::size_t j);
 
-/// Rebuild a full vector from all m slices.
+/// Rebuild a full vector from all m slices (tests and benches; the engines
+/// assemble their product from the slices with kronecker_assemble).
 std::vector<BigInt> unslice(const std::vector<std::vector<BigInt>>& slices,
                             std::size_t bs);
 

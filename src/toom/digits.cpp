@@ -23,7 +23,9 @@ std::vector<BigInt> split_digits_abs(const BigInt& v, std::size_t digit_bits,
 BigInt recompose_digits(std::span<const BigInt> digits,
                         std::size_t digit_bits) {
     BigInt acc;
-    // Accumulate from the top so each shift-add touches a bounded prefix.
+    // Horner from the top: each shift-add touches the whole accumulator, so
+    // this is quadratic in digits.size(). Fine for the 2k-1 digits of a
+    // sequential Toom step; long vectors go through kronecker_assemble.
     for (std::size_t i = digits.size(); i-- > 0;) {
         acc <<= digit_bits;
         acc += digits[i];

@@ -27,6 +27,13 @@ std::vector<BigInt> split_digits_abs(const BigInt& v, std::size_t digit_bits,
 
 /// Evaluate a digit polynomial at B = 2^digit_bits: sum_i digits[i] << (i *
 /// digit_bits). Digits may be signed and wider than digit_bits.
+///
+/// Horner evaluation: every step shifts and adds the whole accumulator, so
+/// the cost is O(count x product limbs) — quadratic in the digit count. It
+/// stays the recomposition of the sequential Toom family, which sees only
+/// 2k-1 digits, and its OpsCounter charge is part of that family's F.
+/// Assembling a long coefficient vector (a machine engine's distributed
+/// product) goes through the linear kronecker_assemble instead.
 BigInt recompose_digits(std::span<const BigInt> digits, std::size_t digit_bits);
 
 /// Plain schoolbook polynomial product: out[t] = sum_{i+j==t} a[i]*b[j];

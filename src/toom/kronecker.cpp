@@ -61,6 +61,36 @@ BigInt pack_walk(std::span<const BigInt> coeffs, std::size_t slot_bits) {
     return packed;
 }
 
+/// Add @p mag shifted to bit @p at into @p out, rippling the carry as far as
+/// it goes, and return the number of limbs touched. Unlike put_slot the
+/// target bits may already be set (coefficients overlap); the caller sizes
+/// @p out so the sum fits.
+std::size_t add_slot(Limbs& out, const Limbs& mag, std::size_t at) {
+    using u128 = unsigned __int128;
+    const std::size_t w = at / 64;
+    const unsigned s = static_cast<unsigned>(at % 64);
+    std::size_t k = w;
+    std::uint64_t spill = 0;
+    std::uint64_t carry = 0;
+    for (const std::uint64_t m : mag) {
+        const std::uint64_t v = s == 0 ? m : (m << s) | spill;
+        spill = s == 0 ? 0 : m >> (64 - s);
+        const u128 t = static_cast<u128>(out[k]) + v + carry;
+        out[k++] = static_cast<std::uint64_t>(t);
+        carry = static_cast<std::uint64_t>(t >> 64);
+    }
+    if (spill != 0) {
+        const u128 t = static_cast<u128>(out[k]) + spill + carry;
+        out[k++] = static_cast<std::uint64_t>(t);
+        carry = static_cast<std::uint64_t>(t >> 64);
+    }
+    for (; carry != 0; ++k) {
+        assert(k < out.size());
+        carry = ++out[k] == 0 ? 1 : 0;
+    }
+    return k - w;
+}
+
 void check_signed_slot(std::size_t slot_bits) {
     if (slot_bits == 0) {
         throw std::invalid_argument("kronecker: a signed slot needs a sign bit");
@@ -179,6 +209,42 @@ std::vector<BigInt> kronecker_unpack_signed(const BigInt& packed,
         out[j] = BigInt::from_parts(-packed.sign(), std::move(v));
         carry = 1;
     }
+    return out;
+}
+
+BigInt kronecker_assemble(std::span<const std::vector<BigInt>> slices,
+                          std::size_t digit_bits) {
+    // Position t = i * P + j puts coefficient i of slice j at bit
+    // t * digit_bits. Sizing each buffer one limb past the widest
+    // coefficient's spill limb leaves room for the running carry: a sum of
+    // fewer than 2^64 terms below 2^e stays below 2^(e + 64).
+    const std::size_t p = slices.size();
+    std::size_t n = 0;
+    std::size_t len = 0;
+    for (std::size_t j = 0; j < p; ++j) {
+        len = std::max(len, slices[j].size());
+        for (std::size_t i = 0; i < slices[j].size(); ++i) {
+            const std::size_t limbs = slices[j][i].limb_count();
+            if (limbs == 0) continue;
+            n = std::max(n, ((i * p + j) * digit_bits) / 64 + limbs + 2);
+        }
+    }
+    Limbs pos(n, 0);
+    Limbs neg;
+    std::uint64_t touched = 0;
+    // Walk in position order so the writes sweep the buffers once.
+    for (std::size_t i = 0; i < len; ++i) {
+        for (std::size_t j = 0; j < p; ++j) {
+            if (i >= slices[j].size() || slices[j][i].is_zero()) continue;
+            const BigInt& c = slices[j][i];
+            if (c.is_negative() && neg.empty()) neg.assign(n, 0);
+            touched += add_slot(c.is_negative() ? neg : pos, c.magnitude(),
+                                (i * p + j) * digit_bits);
+        }
+    }
+    OpsCounter::add(touched);
+    BigInt out = BigInt::from_parts(1, std::move(pos));
+    if (!neg.empty()) out -= BigInt::from_parts(1, std::move(neg));
     return out;
 }
 

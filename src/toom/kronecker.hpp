@@ -50,6 +50,20 @@ std::vector<BigInt> kronecker_unpack_signed(const BigInt& packed,
                                             std::size_t slot_bits,
                                             std::size_t count);
 
+/// Product assembly (the paper's "compute the carry" step): the integer
+/// sum_t c_t * 2^(t * digit_bits) of positioned coefficients, where
+/// coefficient i of slice j sits at position t = i * P + j, P =
+/// slices.size() — the cyclic (bs = 1) layout of the machine engines' result
+/// slices; a single slice is a plain digit vector. Coefficients may be
+/// signed, wider than digit_bits and overlapping, so each magnitude is added
+/// (not ORed) into a positive or a negative limb buffer with a running
+/// carry, and one subtraction combines them. Equals
+/// recompose_digits(unslice(slices, 1), digit_bits) in time linear in the
+/// total coefficient limbs; charges the limbs it touches (the subtraction
+/// charges its own).
+BigInt kronecker_assemble(std::span<const std::vector<BigInt>> slices,
+                          std::size_t digit_bits);
+
 /// Exact convolution of two signed coefficient vectors through one integer
 /// product: pack both at kronecker_signed_slot_bits, multiply with @p mul
 /// (defaults to schoolbook), unpack |a| + |b| - 1 balanced coefficients.

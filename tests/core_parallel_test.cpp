@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "bigint/random.hpp"
+#include "core/ft_common.hpp"
+#include "core/layout.hpp"
+#include "toom/digits.hpp"
 #include "toom/lazy.hpp"
 #include "toom/sequential.hpp"
 
@@ -223,6 +228,102 @@ TEST(Parallel, DfsIncreasesBandwidth) {
     cfg.forced_dfs_steps = 2;
     auto twoDfs = parallel_toom_multiply(a, b, cfg);
     EXPECT_GT(twoDfs.stats.critical.words, noDfs.stats.critical.words);
+}
+
+// Product assembly: signed_product, the last step of every machine engine,
+// against the Horner recomposition of the unsliced result it replaced.
+BigInt horner_product(const std::vector<std::vector<BigInt>>& slices,
+                      std::size_t digit_bits, const BigInt& a,
+                      const BigInt& b) {
+    const BigInt mag = recompose_digits(unslice(slices, 1), digit_bits);
+    return a.sign() * b.sign() < 0 ? -mag : mag;
+}
+
+std::vector<std::vector<BigInt>> cyclic_slices(const std::vector<BigInt>& full,
+                                               std::size_t p) {
+    std::vector<std::vector<BigInt>> slices;
+    for (std::size_t j = 0; j < p; ++j) slices.push_back(slice_of(full, 1, p, j));
+    return slices;
+}
+
+/// Check signed_product on @p full (cyclically sliced over P) under all four
+/// operand-sign combinations; the operands contribute only their signs.
+void expect_assembles(const std::vector<BigInt>& full, std::size_t p,
+                      std::size_t db, const std::string& what) {
+    const auto slices = cyclic_slices(full, p);
+    for (const BigInt& a : {BigInt{3}, BigInt{-3}}) {
+        for (const BigInt& b : {BigInt{5}, BigInt{-5}}) {
+            EXPECT_EQ(core_detail::signed_product(slices, db, a, b),
+                      horner_product(slices, db, a, b))
+                << what << " P " << p << " db " << db << " signs "
+                << a.sign() << "," << b.sign();
+        }
+    }
+}
+
+TEST(SignedProduct, AssemblesTrueProductUnderEverySign) {
+    // The digits of a real |a*b|, then the same value with mixed-sign
+    // coefficients: every other position lends 2^db down to the one below.
+    Rng rng{31};
+    for (std::size_t p : {1u, 3u, 9u}) {
+        for (std::size_t db : {32u, 33u, 64u, 128u}) {
+            const BigInt a = random_bits(rng, 700);
+            const BigInt b = random_bits(rng, 650);
+            const BigInt prod = a * b;
+            const std::size_t len =
+                (prod.bit_length() / db / p + 1) * p;
+            std::vector<BigInt> digits = split_digits(prod, db, len);
+            const auto slices = cyclic_slices(digits, p);
+            EXPECT_EQ(core_detail::signed_product(slices, db, a, b), prod);
+            EXPECT_EQ(core_detail::signed_product(slices, db, -a, b), -prod);
+            EXPECT_EQ(core_detail::signed_product(slices, db, a, -b), -prod);
+            EXPECT_EQ(core_detail::signed_product(slices, db, -a, -b), prod);
+            for (std::size_t t = 0; t + 1 < len; t += 2) {
+                digits[t] += BigInt::power_of_two(db);
+                digits[t + 1] -= BigInt{1};
+            }
+            EXPECT_EQ(
+                core_detail::signed_product(cyclic_slices(digits, p), db, -a, b),
+                -prod);
+            expect_assembles(digits, p, db, "lent");
+        }
+    }
+}
+
+TEST(SignedProduct, MatchesHornerAcrossCoefficientWidths) {
+    // Mixed-sign coefficients of each width, negated as a whole when their
+    // sum is negative (a product magnitude never is).
+    Rng rng{32};
+    for (std::size_t p : {1u, 3u, 9u}) {
+        for (std::size_t db : {32u, 33u, 64u, 128u}) {
+            for (std::size_t w : {db - 1, db, db + 1, 2 * db + 5}) {
+                std::vector<BigInt> full(6 * p);
+                for (BigInt& c : full) c = random_signed_bits(rng, w);
+                if (recompose_digits(full, db).is_negative()) {
+                    for (BigInt& c : full) c = -c;
+                }
+                expect_assembles(full, p, db, "w " + std::to_string(w));
+                const BigInt ones = BigInt::power_of_two(w) - BigInt{1};
+                expect_assembles(std::vector<BigInt>(6 * p, ones), p, db,
+                                 "all-ones w " + std::to_string(w));
+            }
+        }
+    }
+}
+
+TEST(SignedProduct, ZeroAndSingleCoefficient) {
+    for (std::size_t p : {1u, 3u, 9u}) {
+        for (std::size_t db : {32u, 33u, 64u, 128u}) {
+            const std::vector<BigInt> zeros(4 * p);
+            expect_assembles(zeros, p, db, "zeros");
+            EXPECT_TRUE(core_detail::signed_product(cyclic_slices(zeros, p), db,
+                                                    BigInt{-1}, BigInt{1})
+                            .is_zero());
+            std::vector<BigInt> one(4 * p);
+            one[4 * p - 2] = BigInt::power_of_two(db + 1) - BigInt{1};
+            expect_assembles(one, p, db, "single");
+        }
+    }
 }
 
 // The Kronecker leaf must agree with its reference, the lazy Toom

@@ -5,6 +5,7 @@
 #include "bigint/ops_counter.hpp"
 #include "bigint/random.hpp"
 #include "core/ft_poly.hpp"
+#include "core/layout.hpp"
 #include "toom/digits.hpp"
 #include "toom/sequential.hpp"
 
@@ -160,6 +161,112 @@ TEST(KroneckerSigned, PackChargesLinearWork) {
     const std::uint64_t small = charge(1000);
     const std::uint64_t large = charge(4000);
     EXPECT_LE(large, 5 * small);
+}
+
+// Product assembly: kronecker_assemble against the Horner recomposition of
+// the unsliced vector, the value it replaces on the machine engines' path.
+BigInt horner_assemble(const std::vector<std::vector<BigInt>>& slices,
+                       std::size_t digit_bits) {
+    return recompose_digits(unslice(slices, 1), digit_bits);
+}
+
+/// P slices of @p per coefficients each, filled by @p gen(position).
+template <typename Gen>
+std::vector<std::vector<BigInt>> make_slices(std::size_t p, std::size_t per,
+                                             Gen&& gen) {
+    std::vector<std::vector<BigInt>> slices(p, std::vector<BigInt>(per));
+    for (std::size_t i = 0; i < per; ++i) {
+        for (std::size_t j = 0; j < p; ++j) slices[j][i] = gen(i * p + j);
+    }
+    return slices;
+}
+
+TEST(KroneckerAssemble, MatchesHornerAcrossWidthsAndSigns) {
+    // Coefficients just under, at and over the digit width, and wide enough
+    // to overlap the next two digits; non-negative and mixed-sign.
+    Rng rng{21};
+    for (std::size_t p : {1u, 3u, 9u}) {
+        for (std::size_t db : {32u, 33u, 64u, 128u}) {
+            for (std::size_t w : {db - 1, db, db + 1, 2 * db + 5}) {
+                for (std::size_t per : {1u, 7u, 40u}) {
+                    const auto unsigned_slices = make_slices(
+                        p, per, [&](std::size_t) { return random_bits(rng, w); });
+                    EXPECT_EQ(kronecker_assemble(unsigned_slices, db),
+                              horner_assemble(unsigned_slices, db))
+                        << "P " << p << " db " << db << " w " << w;
+                    const auto signed_slices = make_slices(
+                        p, per,
+                        [&](std::size_t) { return random_signed_bits(rng, w); });
+                    EXPECT_EQ(kronecker_assemble(signed_slices, db),
+                              horner_assemble(signed_slices, db))
+                        << "P " << p << " db " << db << " w " << w;
+                }
+            }
+        }
+    }
+}
+
+TEST(KroneckerAssemble, ZeroAndSingleCoefficient) {
+    for (std::size_t p : {1u, 3u, 9u}) {
+        for (std::size_t db : {32u, 33u, 64u, 128u}) {
+            const auto zeros =
+                make_slices(p, 5, [](std::size_t) { return BigInt{}; });
+            EXPECT_TRUE(kronecker_assemble(zeros, db).is_zero());
+            const std::size_t len = 5 * p;
+            for (std::size_t at : {std::size_t{0}, len / 2, len - 1}) {
+                for (const BigInt& c :
+                     {BigInt{1}, BigInt{-7},
+                      BigInt::power_of_two(2 * db + 4) - BigInt{1}}) {
+                    const auto one = make_slices(p, 5, [&](std::size_t t) {
+                        return t == at ? c : BigInt{};
+                    });
+                    EXPECT_EQ(kronecker_assemble(one, db), c << (at * db))
+                        << "P " << p << " db " << db << " at " << at;
+                    EXPECT_EQ(kronecker_assemble(one, db),
+                              horner_assemble(one, db));
+                }
+            }
+        }
+    }
+}
+
+TEST(KroneckerAssemble, AllOnesCarriesRippleAcrossLimbs) {
+    // Every coefficient 2^w - 1 with w > digit_bits: overlapping all-ones
+    // runs make each add carry across many limbs. Negated, the same walk
+    // runs in the negative buffer.
+    for (std::size_t p : {1u, 3u, 9u}) {
+        for (std::size_t db : {32u, 33u, 64u, 128u}) {
+            for (std::size_t w : {db - 1, db, db + 1, 2 * db + 5}) {
+                const BigInt ones = BigInt::power_of_two(w) - BigInt{1};
+                const auto pos =
+                    make_slices(p, 11, [&](std::size_t) { return ones; });
+                EXPECT_EQ(kronecker_assemble(pos, db), horner_assemble(pos, db))
+                    << "P " << p << " db " << db << " w " << w;
+                const auto neg =
+                    make_slices(p, 11, [&](std::size_t) { return -ones; });
+                EXPECT_EQ(kronecker_assemble(neg, db), horner_assemble(neg, db))
+                    << "P " << p << " db " << db << " w " << w;
+            }
+        }
+    }
+}
+
+TEST(KroneckerAssemble, ChargesLinearWork) {
+    // Doubling the coefficient count at most ~doubles the charge; the Horner
+    // loop it replaces grows ~4x.
+    Rng rng{22};
+    const auto charge = [&](std::size_t n) {
+        const auto slices = make_slices(9, n / 9, [&](std::size_t) {
+            return random_signed_bits(rng, 69);
+        });
+        const std::uint64_t before = OpsCounter::get();
+        (void)kronecker_assemble(slices, 32);
+        return OpsCounter::get() - before;
+    };
+    const std::uint64_t small = charge(2502);
+    const std::uint64_t large = charge(5004);
+    EXPECT_GT(small, 0u);
+    EXPECT_LE(static_cast<double>(large), 2.2 * static_cast<double>(small));
 }
 
 class KroneckerConvolveSweep : public ::testing::TestWithParam<std::uint64_t> {};
