@@ -7,7 +7,6 @@
 //
 //   ./poly_multiply [degree] [q]
 
-#include <bit>
 #include <cstdio>
 #include <cstdlib>
 
@@ -39,10 +38,8 @@ int main(int argc, char** argv) {
     // Exact product over Z through one Toom-Cook-3 integer multiply, then
     // reduce mod q.
     const ToomPlan plan = ToomPlan::make(3);
-    const auto coeff_bits = static_cast<std::size_t>(
-        std::bit_width(static_cast<std::uint64_t>(q - 1)));
-    std::vector<BigInt> h = kronecker_poly_multiply(
-        f, g, coeff_bits, [&](const BigInt& x, const BigInt& y) {
+    std::vector<BigInt> h =
+        kronecker_convolve(f, g, [&](const BigInt& x, const BigInt& y) {
             return toom_multiply(x, y, plan);
         });
     const BigInt qq{q};

@@ -178,8 +178,8 @@ FtRunResult checkpoint_toom_multiply(const BigInt& a, const BigInt& b,
             unpack_pair(std::move(state), a_loc, b_loc);
         }
         state.clear();
-        std::vector<BigInt> child = leaf_multiply(
-            rank, tplan, shape, std::move(a_loc), std::move(b_loc));
+        std::vector<BigInt> child =
+            leaf_multiply(tplan, std::move(a_loc), std::move(b_loc));
 
         for (int lv = bfs - 1; lv >= 0; --lv) {
             const Level& L = levels[static_cast<std::size_t>(lv)];

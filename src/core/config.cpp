@@ -27,19 +27,30 @@ std::uint64_t ipow(std::uint64_t b, int e) {
 
 namespace {
 
-std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
+std::size_t ceil_div(std::size_t a, std::size_t b) {
+    return a / b + (a % b != 0 ? 1 : 0);
+}
+
+/// a * b, or std::invalid_argument when the product wraps 64 bits.
+std::uint64_t checked_mul(std::uint64_t a, std::uint64_t b) {
+    std::uint64_t r = 0;
+    if (__builtin_mul_overflow(a, b, &r)) {
+        throw std::invalid_argument(
+            "resolve_shape: k^levels * P digits overflow 64 bits");
+    }
+    return r;
+}
 
 ResolvedShape shape_for_dfs(const ParallelConfig& cfg, std::size_t n_bits,
                             int bfs, int dfs) {
-    return resolve_shape_general(cfg.k, cfg.processors, cfg.processors, dfs,
-                                 bfs, dfs + bfs, cfg.digit_bits, cfg.base_len,
-                                 n_bits);
+    return resolve_shape_general(cfg.k, cfg.processors, dfs, bfs, dfs + bfs,
+                                 cfg.digit_bits, cfg.base_len, n_bits);
 }
 
 }  // namespace
 
-ResolvedShape resolve_shape_general(int k, int processors, int world,
-                                    int dfs_steps, int bfs_steps, int levels,
+ResolvedShape resolve_shape_general(int k, int world, int dfs_steps,
+                                    int bfs_steps, int levels,
                                     std::size_t digit_bits,
                                     std::size_t base_len, std::size_t n_bits) {
     ResolvedShape s;
@@ -50,27 +61,22 @@ ResolvedShape resolve_shape_general(int k, int processors, int world,
     s.dfs_steps = dfs_steps;
     s.digit_bits = digit_bits;
     s.base_len = base_len;
-    (void)processors;
 
     // N = k^levels * leaf_len with leaf_len a positive multiple of world —
     // the divisibility the block-cyclic layout needs at every level. The
     // leaf's sequential convolution pads internally, so no further rounding
-    // is required.
-    const std::uint64_t unit =
-        ipow(static_cast<std::uint64_t>(k), levels) *
-        static_cast<std::uint64_t>(world);
+    // is required. Every digit's bit offset t * digit_bits must fit 64 bits
+    // too, so a shape whose N or N * digit_bits wraps is rejected.
+    std::uint64_t unit = static_cast<std::uint64_t>(world);
+    for (int i = 0; i < levels; ++i) {
+        unit = checked_mul(unit, static_cast<std::uint64_t>(k));
+    }
     const std::size_t digits_needed =
         ceil_div(n_bits == 0 ? 1 : n_bits, digit_bits);
-    const std::size_t mult =
-        ceil_div(digits_needed, static_cast<std::size_t>(unit));
+    const std::size_t mult = ceil_div(digits_needed, unit);
     s.leaf_len = mult * static_cast<std::size_t>(world);
-    s.total_digits = static_cast<std::size_t>(
-        ipow(static_cast<std::uint64_t>(k), levels) * s.leaf_len);
-
-    // Every sub-problem's result is kept positional (coefficients of the
-    // product polynomial, carries unresolved) at exactly twice the input
-    // length; the leaf pads its 2*len-1 convolution by one zero.
-    s.leaf_result_len = 2 * s.leaf_len;
+    s.total_digits = checked_mul(unit, mult);
+    checked_mul(s.total_digits, digit_bits);
     return s;
 }
 

@@ -30,10 +30,6 @@ void arm_transport(Machine& machine, const ParallelConfig& cfg) {
     if (cfg.events) machine.enable_event_log();
     if (cfg.transport_guard || cfg.transport_faults.active()) {
         machine.set_transport_guard(true);
-        machine.set_transport_retain_depth(cfg.transport_retain_depth);
-        machine.set_transport_stash_limit(cfg.transport_stash_limit);
-        machine.set_transport_ack_interval(cfg.transport_ack_interval);
-        machine.set_transport_ack_delay(cfg.transport_ack_delay_rounds);
     }
     if (cfg.transport_faults.active()) {
         machine.set_transport_faults(cfg.transport_faults);

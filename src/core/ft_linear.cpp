@@ -216,8 +216,8 @@ FtRunResult ft_linear_multiply(const BigInt& a, const BigInt& b,
                 unpack_pair(std::move(state), a_loc, b_loc);
             }
         }
-        std::vector<BigInt> child = leaf_multiply(
-            rank, tplan, shape, std::move(a_loc), std::move(b_loc));
+        std::vector<BigInt> child =
+            leaf_multiply(tplan, std::move(a_loc), std::move(b_loc));
 
         // Backward sweep: every interpolation boundary protected likewise.
         for (int lv = bfs - 1; lv >= 0; --lv) {

@@ -108,7 +108,7 @@ FtRunResult ft_mixed_multiply(const BigInt& a, const BigInt& b,
 
     FtRunResult result;
     result.shape = resolve_shape_general(
-        k, cfg.base.processors, data_world, 0, bfs, bfs,
+        k, data_world, 0, bfs, bfs,
         cfg.base.digit_bits, cfg.base.base_len,
         std::max(a.bit_length(), b.bit_length()));
     const ResolvedShape& shape = result.shape;

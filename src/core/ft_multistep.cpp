@@ -106,7 +106,7 @@ FtRunResult ft_multistep_multiply(const BigInt& a, const BigInt& b,
     // levels inside each column.
     FtRunResult result;
     result.shape = resolve_shape_general(
-        k, cfg.base.processors, world, dfs, bfs, l + dfs + (bfs - l),
+        k, world, dfs, bfs, l + dfs + (bfs - l),
         cfg.base.digit_bits, cfg.base.base_len,
         std::max(a.bit_length(), b.bit_length()));
     const ResolvedShape& shape = result.shape;

@@ -67,7 +67,7 @@ FtRunResult ft_poly_multiply(const BigInt& a, const BigInt& b,
     // steps inside each column. Leaf length aligned to the widened world.
     FtRunResult result;
     result.shape = resolve_shape_general(
-        k, cfg.base.processors, world, dfs, bfs, 1 + dfs + (bfs - 1),
+        k, world, dfs, bfs, 1 + dfs + (bfs - 1),
         cfg.base.digit_bits, cfg.base.base_len,
         std::max(a.bit_length(), b.bit_length()));
     const ResolvedShape& shape = result.shape;

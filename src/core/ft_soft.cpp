@@ -292,8 +292,8 @@ FtSoftResult ft_soft_multiply(const BigInt& a, const BigInt& b,
         verify_and_correct(rank, column, kLeafPhase, 860, state, none);
         unpack_pair(std::move(state), a_loc, b_loc);
         state.clear();
-        std::vector<BigInt> child = leaf_multiply(
-            rank, tplan, shape, std::move(a_loc), std::move(b_loc));
+        std::vector<BigInt> child =
+            leaf_multiply(tplan, std::move(a_loc), std::move(b_loc));
 
         // --- backward sweep ---
         for (int lv = bfs - 1; lv >= 0; --lv) {

@@ -47,12 +47,9 @@ std::vector<BigInt> local_input_digits(const BigInt& v,
     return out;
 }
 
-std::vector<BigInt> leaf_multiply(Rank& rank, const ToomPlan& plan,
-                                  const ResolvedShape& shape,
+std::vector<BigInt> leaf_multiply(const ToomPlan& plan,
                                   std::vector<BigInt> a_loc,
                                   std::vector<BigInt> b_loc) {
-    (void)rank;
-    (void)shape;
     // The leaf result must be the *carry-free* coefficient vector of the
     // product polynomial: ancestor interpolations and overlap-adds act
     // digit-wise, and their exact divisions hold only as polynomial
@@ -99,8 +96,7 @@ std::vector<BigInt> dist_convolve_steps(Rank& rank, const ToomPlan& plan,
         assert(m == 1 && "schedule must reach a singleton group");
         rank.phase("leaf-mul");
         rank.note_memory(words_estimate(shape, 4 * a_loc.size()));
-        return leaf_multiply(rank, plan, shape, std::move(a_loc),
-                             std::move(b_loc));
+        return leaf_multiply(plan, std::move(a_loc), std::move(b_loc));
     }
     const char step = steps.front();
     const std::string_view rest = steps.substr(1);

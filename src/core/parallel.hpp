@@ -73,8 +73,7 @@ std::vector<BigInt> dist_convolve_steps(Rank& rank, const ToomPlan& plan,
 /// Leaf kernel: exact convolution of the two (signed) digit blocks via one
 /// Kronecker-packed sequential Toom-Cook product (kronecker_convolve),
 /// padded to exactly twice the input length.
-std::vector<BigInt> leaf_multiply(Rank& rank, const ToomPlan& plan,
-                                  const ResolvedShape& shape,
+std::vector<BigInt> leaf_multiply(const ToomPlan& plan,
                                   std::vector<BigInt> a_loc,
                                   std::vector<BigInt> b_loc);
 

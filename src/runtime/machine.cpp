@@ -74,6 +74,10 @@ struct Machine::TransportCounterBlock {
 
 namespace {
 
+/// Retransmit attempts allowed per logical receive before the guard raises
+/// TransportFault(RetryExhausted).
+constexpr int kTransportRetryLimit = 8;
+
 void bump(std::atomic<std::uint64_t>& c, std::uint64_t n = 1) noexcept {
     c.fetch_add(n, std::memory_order_relaxed);
 }
@@ -570,7 +574,7 @@ PayloadBuf Rank::recv_buf_guarded(int src, int tag) {
 
 PayloadBuf Rank::fetch_retransmit(int src, int tag, std::uint64_t seq,
                                   int& attempts, TransportFaultKind why) {
-    if (++attempts > machine_.transport_retry_limit_) {
+    if (++attempts > kTransportRetryLimit) {
         throw TransportFault(TransportFaultKind::RetryExhausted, src, id_,
                              tag, seq,
                              "retransmit budget exhausted after " +

@@ -243,12 +243,6 @@ public:
         retain_depth_ = depth;
     }
 
-    /// Retransmit attempts allowed per logical receive before the guard
-    /// raises TransportFault(RetryExhausted) (default 8).
-    void set_transport_retry_limit(int limit) noexcept {
-        transport_retry_limit_ = limit;
-    }
-
     /// Cap on each receiver-side stash (the reorder deferral stash and the
     /// ahead-of-order receive stash, independently; default 4096 entries).
     /// Exceeding it raises TransportFault(StashOverflow) instead of growing
@@ -256,7 +250,6 @@ public:
     void set_transport_stash_limit(std::size_t limit) noexcept {
         stash_limit_ = limit;
     }
-    std::size_t transport_stash_limit() const noexcept { return stash_limit_; }
 
     /// Un-published backlog (delivered frames not yet covered by a
     /// piggybacked ack) at which a receiver charges a standalone ack frame
@@ -264,9 +257,6 @@ public:
     /// the fallback cap never has to evict un-acked frames).
     void set_transport_ack_interval(std::uint64_t interval) noexcept {
         ack_interval_ = interval == 0 ? 1 : interval;
-    }
-    std::uint64_t transport_ack_interval() const noexcept {
-        return ack_interval_;
     }
 
     /// Ack-propagation delay in rounds (default 0 = instant): retention
@@ -383,7 +373,6 @@ private:
     bool transport_guard_ = false;
     TransportFaultModel transport_model_{};
     std::size_t retain_depth_ = 64;
-    int transport_retry_limit_ = 8;
     std::size_t stash_limit_ = 4096;
     std::uint64_t ack_interval_ = 16;
     std::uint64_t ack_delay_ = 0;

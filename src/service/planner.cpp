@@ -43,7 +43,6 @@ ResilientConfig base_resilient(const PlannerPolicy& p) {
     rc.base.processors = p.processors;
     rc.base.digit_bits = p.digit_bits;
     rc.faults = p.faults;
-    rc.max_engine_retries = p.max_engine_retries;
     return rc;
 }
 

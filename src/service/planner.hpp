@@ -30,9 +30,6 @@ struct PlannerPolicy {
     /// Redundancy f for the FT / replication plans.
     int faults = 1;
 
-    /// Ladder settings stamped into every machine plan's ResilientConfig.
-    int max_engine_retries = 1;
-
     /// Machine parameters the modeled-time estimate is priced under.
     CostModel cost_model;
 };

@@ -33,15 +33,6 @@ BigInt recompose_digits(std::span<const BigInt> digits,
     return acc;
 }
 
-std::vector<BigInt> split_digits_signed(const BigInt& v, std::size_t digit_bits,
-                                        std::size_t count) {
-    std::vector<BigInt> digits = split_digits_abs(v, digit_bits, count);
-    if (v.is_negative()) {
-        for (auto& d : digits) d = -d;
-    }
-    return digits;
-}
-
 std::vector<BigInt> convolve_schoolbook(std::span<const BigInt> a,
                                         std::span<const BigInt> b) {
     assert(!a.empty() && !b.empty());

@@ -41,10 +41,10 @@ void get_slot(const Limbs& src, std::size_t at, std::size_t width,
     if (width % 64 != 0) out[n - 1] &= ~std::uint64_t{0} >> (64 - width % 64);
 }
 
-/// The one packing walk behind both APIs: every coefficient's magnitude is
-/// written into its slot of a positive or a negative limb buffer, and one
-/// subtraction combines them. Linear in the packed size; charges the limbs
-/// of both buffers (the subtraction charges its own).
+/// The packing walk: every coefficient's magnitude is written into its slot
+/// of a positive or a negative limb buffer, and one subtraction combines
+/// them. Linear in the packed size; charges the limbs of both buffers (the
+/// subtraction charges its own).
 BigInt pack_walk(std::span<const BigInt> coeffs, std::size_t slot_bits) {
     const std::size_t n = limbs_for(coeffs.size() * slot_bits) + 1;
     Limbs pos(n, 0);
@@ -97,22 +97,6 @@ void check_signed_slot(std::size_t slot_bits) {
     }
 }
 
-void check_slot_range(std::span<const BigInt> coeffs, std::size_t max_bits,
-                      bool allow_negative) {
-    for (const BigInt& c : coeffs) {
-        if ((c.is_negative() && !allow_negative) || c.bit_length() > max_bits) {
-            throw std::invalid_argument(
-                "kronecker_pack: coefficient out of slot range");
-        }
-    }
-}
-
-/// Bits a sum of up to @p min_len overlapping terms adds to each term.
-std::size_t overlap_bits(std::size_t min_len) {
-    return static_cast<std::size_t>(std::bit_width(
-        static_cast<std::uint64_t>(min_len == 0 ? 1 : min_len)));
-}
-
 std::size_t max_bits(std::span<const BigInt> v) {
     std::size_t w = 0;
     for (const BigInt& c : v) w = std::max(w, c.bit_length());
@@ -121,43 +105,26 @@ std::size_t max_bits(std::span<const BigInt> v) {
 
 }  // namespace
 
-std::size_t kronecker_slot_bits(std::size_t coeff_bits, std::size_t min_len) {
-    // A product coefficient is a sum of at most min_len terms, each below
-    // 2^(2*coeff_bits): slot = 2*coeff_bits + ceil(log2(min_len)) suffices.
-    return 2 * coeff_bits + overlap_bits(min_len);
-}
-
 std::size_t kronecker_signed_slot_bits(std::span<const BigInt> a,
                                        std::span<const BigInt> b) {
     // |c_j| <= min_len * (2^wa - 1)(2^wb - 1) < 2^(wa + wb + bit_width(min_len)),
     // and the balanced unpack needs |c_j| < 2^(slot - 1): one more bit.
+    const auto min_len =
+        static_cast<std::uint64_t>(std::max<std::size_t>(
+            1, std::min(a.size(), b.size())));
     return max_bits(a) + max_bits(b) +
-           overlap_bits(std::min(a.size(), b.size())) + 1;
-}
-
-BigInt kronecker_pack(std::span<const BigInt> coeffs, std::size_t slot_bits) {
-    check_slot_range(coeffs, slot_bits, /*allow_negative=*/false);
-    return pack_walk(coeffs, slot_bits);
-}
-
-std::vector<BigInt> kronecker_unpack(const BigInt& packed,
-                                     std::size_t slot_bits,
-                                     std::size_t count) {
-    assert(!packed.is_negative());
-    OpsCounter::add(packed.limb_count());
-    std::vector<BigInt> out(count);
-    Limbs slot;
-    for (std::size_t i = 0; i < count; ++i) {
-        get_slot(packed.magnitude(), i * slot_bits, slot_bits, slot);
-        out[i] = BigInt::from_parts(1, slot);
-    }
-    return out;
+           static_cast<std::size_t>(std::bit_width(min_len)) + 1;
 }
 
 BigInt kronecker_pack_signed(std::span<const BigInt> coeffs,
                              std::size_t slot_bits) {
     check_signed_slot(slot_bits);
-    check_slot_range(coeffs, slot_bits - 1, /*allow_negative=*/true);
+    for (const BigInt& c : coeffs) {
+        if (c.bit_length() > slot_bits - 1) {
+            throw std::invalid_argument(
+                "kronecker_pack_signed: coefficient out of slot range");
+        }
+    }
     return pack_walk(coeffs, slot_bits);
 }
 
@@ -257,19 +224,6 @@ std::vector<BigInt> kronecker_convolve(
     const BigInt pb = kronecker_pack_signed(b, slot);
     const BigInt prod = mul ? mul(pa, pb) : pa * pb;
     return kronecker_unpack_signed(prod, slot, a.size() + b.size() - 1);
-}
-
-std::vector<BigInt> kronecker_poly_multiply(
-    std::span<const BigInt> a, std::span<const BigInt> b,
-    std::size_t coeff_bits,
-    const std::function<BigInt(const BigInt&, const BigInt&)>& mul) {
-    if (a.empty() || b.empty()) return {};
-    const std::size_t slot =
-        kronecker_slot_bits(coeff_bits, std::min(a.size(), b.size()));
-    const BigInt pa = kronecker_pack(a, slot);
-    const BigInt pb = kronecker_pack(b, slot);
-    const BigInt prod = mul ? mul(pa, pb) : pa * pb;
-    return kronecker_unpack(prod, slot, a.size() + b.size() - 1);
 }
 
 }  // namespace ftmul

@@ -9,27 +9,13 @@
 namespace ftmul {
 
 /// Kronecker substitution: multiply integer polynomials through any integer
-/// multiplication engine. The polynomials are packed at x = 2^slot_bits with
-/// slots wide enough that product coefficients never overlap; one integer
-/// product then carries the whole convolution — so polynomial workloads can
-/// ride the parallel and fault-tolerant integer engines unchanged.
-
-/// Slot width needed to multiply two polynomials whose coefficients are
-/// non-negative and < 2^coeff_bits, with min(len_a, len_b) terms overlapping.
-std::size_t kronecker_slot_bits(std::size_t coeff_bits, std::size_t min_len);
-
-/// Pack coefficients (non-negative, each < 2^slot_bits) at x = 2^slot_bits.
-/// Throws std::invalid_argument for a coefficient out of that range.
-BigInt kronecker_pack(std::span<const BigInt> coeffs, std::size_t slot_bits);
-
-/// Unpack @p count coefficients of @p slot_bits each.
-std::vector<BigInt> kronecker_unpack(const BigInt& packed,
-                                     std::size_t slot_bits, std::size_t count);
-
-/// Signed Kronecker substitution. Coefficients of either sign are packed
-/// into one signed integer at x = 2^slot_bits, and the product is unpacked
-/// into balanced digits in [-2^(slot_bits-1), 2^(slot_bits-1)). Pack and
-/// unpack are linear-time limb walks shared with the unsigned API above.
+/// multiplication engine. Coefficients of either sign are packed into one
+/// signed integer at x = 2^slot_bits, with slots wide enough that product
+/// coefficients never overlap; one integer product then carries the whole
+/// convolution, unpacked into balanced digits in
+/// [-2^(slot_bits-1), 2^(slot_bits-1)) — so polynomial workloads can ride
+/// the parallel and fault-tolerant integer engines unchanged. Pack and
+/// unpack are linear-time limb walks.
 
 /// Slot width for the signed product of @p a and @p b, from their actual
 /// coefficients: bits(a) + bits(b) + bit_width(min(|a|, |b|)) + 1, where
@@ -70,15 +56,6 @@ BigInt kronecker_assemble(std::span<const std::vector<BigInt>> slices,
 /// This is the leaf kernel of every parallel and fault-tolerant engine.
 std::vector<BigInt> kronecker_convolve(
     std::span<const BigInt> a, std::span<const BigInt> b,
-    const std::function<BigInt(const BigInt&, const BigInt&)>& mul = {});
-
-/// Multiply two polynomials with non-negative coefficients bounded by
-/// 2^coeff_bits via one integer product. @p mul is any integer
-/// multiplication engine (defaults to schoolbook). Returns the exact
-/// convolution (length |a| + |b| - 1).
-std::vector<BigInt> kronecker_poly_multiply(
-    std::span<const BigInt> a, std::span<const BigInt> b,
-    std::size_t coeff_bits,
     const std::function<BigInt(const BigInt&, const BigInt&)>& mul = {});
 
 }  // namespace ftmul

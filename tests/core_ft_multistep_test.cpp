@@ -32,6 +32,17 @@ TEST(FtMultistep, RejectsBadConfigs) {
                  std::invalid_argument);
 }
 
+TEST(FtMultistep, RejectsOverflowingShapes) {
+    // Two fused levels plus 62 inner DFS steps ask for 2^64 * 10 digits.
+    Rng rng{1};
+    BigInt a = random_bits(rng, 500), b = random_bits(rng, 500);
+    FtMultistepConfig cfg = make_cfg(2, 9, 1, 2);
+    cfg.base.forced_dfs_steps = 62;
+    EXPECT_THROW(ft_multistep_multiply(a, b, cfg, {}), std::invalid_argument);
+    cfg.base.forced_dfs_steps = 1;
+    EXPECT_EQ(ft_multistep_multiply(a, b, cfg, {}).product, a * b);
+}
+
 TEST(FtMultistep, ExtraProcessorCountShrinksWithL) {
     // Figure 3's point: f * P/(2k-1)^l code processors.
     Rng rng{2};

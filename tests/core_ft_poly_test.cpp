@@ -28,6 +28,18 @@ TEST(FtPoly, RejectsBadConfigs) {
                  std::invalid_argument);
 }
 
+TEST(FtPoly, RejectsOverflowingShapes) {
+    // 62 inner DFS steps plus the coded step and one plain BFS step ask for
+    // 2^64 * 12 digits.
+    Rng rng{1};
+    BigInt a = random_bits(rng, 500), b = random_bits(rng, 500);
+    FtPolyConfig cfg = make_cfg(2, 9, 1);
+    cfg.base.forced_dfs_steps = 62;
+    EXPECT_THROW(ft_poly_multiply(a, b, cfg, {}), std::invalid_argument);
+    cfg.base.forced_dfs_steps = 1;
+    EXPECT_EQ(ft_poly_multiply(a, b, cfg, {}).product, a * b);
+}
+
 TEST(FtPoly, RejectsFaultsOutsideMulPhase) {
     Rng rng{2};
     BigInt a = random_bits(rng, 500), b = random_bits(rng, 500);

@@ -37,8 +37,22 @@ TEST(ResolveShape, BasicGeometry) {
     EXPECT_EQ(s.leaf_len % 9, 0u);
     EXPECT_EQ(s.total_digits, 4 * s.leaf_len);
     EXPECT_GE(s.total_digits * s.digit_bits, 32u * 72u);
-    EXPECT_GE(s.leaf_result_len, 2 * s.leaf_len);
-    EXPECT_EQ(s.leaf_result_len % 9, 0u);
+}
+
+TEST(ResolveShape, RejectsShapesThatOverflow) {
+    // N = k^(dfs+bfs) * P digits: 2^64 * 9 wraps to 0 (the old division by
+    // zero), 2^61 * 9 wraps to a bogus N, and 2^60 * 9 fits but its bit
+    // offsets at 32 bits per digit do not.
+    ParallelConfig cfg;
+    cfg.k = 2;
+    cfg.processors = 9;
+    cfg.digit_bits = 32;
+    for (int dfs : {62, 59, 58}) {
+        cfg.forced_dfs_steps = dfs;
+        EXPECT_THROW(resolve_shape(cfg, 80000), std::invalid_argument) << dfs;
+    }
+    cfg.forced_dfs_steps = 20;
+    EXPECT_EQ(resolve_shape(cfg, 80000).total_digits, 9u << 22);
 }
 
 TEST(ResolveShape, MemoryLimitForcesDfs) {
@@ -151,6 +165,22 @@ TEST(Parallel, StepOrderValidation) {
     EXPECT_THROW(parallel_toom_multiply(a, b, cfg), std::invalid_argument);
     cfg.step_order = "B";  // needs two 'B's for P = 9
     EXPECT_THROW(parallel_toom_multiply(a, b, cfg), std::invalid_argument);
+}
+
+TEST(Parallel, StepOrderRejectsOverflowingShapes) {
+    // The step order reaches the same shape check as forced_dfs_steps: 62
+    // 'D's ask for 2^64 * 9 digits, and 'B's count as levels too.
+    ParallelConfig cfg;
+    cfg.k = 2;
+    cfg.processors = 9;
+    Rng rng{12};
+    BigInt a = random_bits(rng, 1000), b = random_bits(rng, 1000);
+    cfg.step_order = std::string(62, 'D');
+    EXPECT_THROW(parallel_toom_multiply(a, b, cfg), std::invalid_argument);
+    cfg.step_order = "BB" + std::string(60, 'D');
+    EXPECT_THROW(parallel_toom_multiply(a, b, cfg), std::invalid_argument);
+    cfg.step_order = "BB";
+    EXPECT_EQ(parallel_toom_multiply(a, b, cfg).product, a * b);
 }
 
 class StepOrderSweep : public ::testing::TestWithParam<const char*> {};
@@ -342,11 +372,8 @@ protected:
         std::vector<BigInt> want =
             toom_convolve(plan, a, b, shape.base_len);
         want.emplace_back();
-        std::vector<BigInt> got;
-        Machine m(1);
-        m.run([&](Rank& rank) {
-            got = core_detail::leaf_multiply(rank, plan, shape, a, b);
-        });
+        const std::vector<BigInt> got =
+            core_detail::leaf_multiply(plan, a, b);
         ASSERT_EQ(got.size(), 2 * a.size());
         EXPECT_EQ(got, want);
     }

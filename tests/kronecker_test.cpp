@@ -13,9 +13,14 @@ namespace ftmul {
 namespace {
 
 TEST(Kronecker, SlotBits) {
-    EXPECT_EQ(kronecker_slot_bits(8, 1), 17u);
-    EXPECT_EQ(kronecker_slot_bits(8, 2), 18u);
-    EXPECT_EQ(kronecker_slot_bits(16, 100), 39u);  // 32 + ceil(log2 100)=7
+    // A non-negative polynomial is sized as a signed one: the unsigned bound
+    // 2 * bits + ceil(log2 n) plus one sign bit.
+    const std::vector<BigInt> one{BigInt{255}};
+    EXPECT_EQ(kronecker_signed_slot_bits(one, one), 18u);
+    const std::vector<BigInt> two{BigInt{255}, BigInt{0}};
+    EXPECT_EQ(kronecker_signed_slot_bits(two, two), 19u);
+    const std::vector<BigInt> hundred(100, BigInt{65535});
+    EXPECT_EQ(kronecker_signed_slot_bits(hundred, hundred), 40u);
 }
 
 TEST(Kronecker, PackUnpackRoundTrip) {
@@ -24,21 +29,26 @@ TEST(Kronecker, PackUnpackRoundTrip) {
     for (auto& c : coeffs) {
         c = BigInt{static_cast<std::int64_t>(rng.next_below(1u << 20))};
     }
-    const BigInt packed = kronecker_pack(coeffs, 21);
-    EXPECT_EQ(kronecker_unpack(packed, 21, 17), coeffs);
+    const BigInt packed = kronecker_pack_signed(coeffs, 21);
+    EXPECT_EQ(kronecker_unpack_signed(packed, 21, 17), coeffs);
 }
 
 TEST(Kronecker, PackRejectsOutOfRange) {
+    // A 10-bit slot holds non-negative coefficients below 2^9: the top bit
+    // is the sign.
     std::vector<BigInt> bad{BigInt{1 << 10}};
-    EXPECT_THROW(kronecker_pack(bad, 10), std::invalid_argument);
-    std::vector<BigInt> neg{BigInt{-1}};
-    EXPECT_THROW(kronecker_pack(neg, 10), std::invalid_argument);
+    EXPECT_THROW(kronecker_pack_signed(bad, 10), std::invalid_argument);
+    std::vector<BigInt> sign_bit{BigInt{1 << 9}};
+    EXPECT_THROW(kronecker_pack_signed(sign_bit, 10), std::invalid_argument);
+    std::vector<BigInt> top{BigInt{(1 << 9) - 1}, BigInt{-1}};
+    EXPECT_EQ(kronecker_unpack_signed(kronecker_pack_signed(top, 10), 10, 2),
+              top);
 }
 
 TEST(Kronecker, KnownProduct) {
     // (1 + 2x)(3 + 4x) = 3 + 10x + 8x^2
     std::vector<BigInt> a{1, 2}, b{3, 4};
-    auto c = kronecker_poly_multiply(a, b, 4);
+    auto c = kronecker_convolve(a, b);
     ASSERT_EQ(c.size(), 3u);
     EXPECT_EQ(c[0], BigInt{3});
     EXPECT_EQ(c[1], BigInt{10});
@@ -55,8 +65,7 @@ TEST_P(KroneckerSweep, MatchesSchoolbookConvolution) {
     std::vector<BigInt> a(la), b(lb);
     for (auto& v : a) v = random_below_2pow(rng, coeff_bits);
     for (auto& v : b) v = random_below_2pow(rng, coeff_bits);
-    EXPECT_EQ(kronecker_poly_multiply(a, b, coeff_bits),
-              convolve_schoolbook(a, b));
+    EXPECT_EQ(kronecker_convolve(a, b), convolve_schoolbook(a, b));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KroneckerSweep,
@@ -70,11 +79,25 @@ TEST(Kronecker, RidesTheToomEngine) {
     const ToomPlan plan = ToomPlan::make(3);
     ToomOptions opts;
     opts.threshold_bits = 512;
-    auto via_toom = kronecker_poly_multiply(
-        a, b, 12, [&](const BigInt& x, const BigInt& y) {
+    auto via_toom =
+        kronecker_convolve(a, b, [&](const BigInt& x, const BigInt& y) {
             return toom_multiply(x, y, plan, opts);
         });
     EXPECT_EQ(via_toom, convolve_schoolbook(a, b));
+
+    // The inputs of examples/poly_multiply: 701 coefficients in [0, 8192)
+    // through default-threshold Toom-3.
+    Rng example_rng{13};
+    std::vector<BigInt> f(701), g(701);
+    for (std::size_t i = 0; i < f.size(); ++i) {
+        f[i] = BigInt{static_cast<std::int64_t>(example_rng.next_below(8192))};
+        g[i] = BigInt{static_cast<std::int64_t>(example_rng.next_below(8192))};
+    }
+    EXPECT_EQ(kronecker_convolve(f, g,
+                                 [&](const BigInt& x, const BigInt& y) {
+                                     return toom_multiply(x, y, plan);
+                                 }),
+              convolve_schoolbook(f, g));
 }
 
 TEST(Kronecker, RidesTheFaultTolerantParallelEngine) {
@@ -91,8 +114,8 @@ TEST(Kronecker, RidesTheFaultTolerantParallelEngine) {
     cfg.faults = 1;
     FaultPlan plan;
     plan.add("mul", 2);
-    auto via_ft = kronecker_poly_multiply(
-        a, b, 10, [&](const BigInt& x, const BigInt& y) {
+    auto via_ft =
+        kronecker_convolve(a, b, [&](const BigInt& x, const BigInt& y) {
             return ft_poly_multiply(x, y, cfg, plan).product;
         });
     EXPECT_EQ(via_ft, convolve_schoolbook(a, b));

@@ -679,29 +679,6 @@ TEST(EngineTransport, GuardAloneLeavesProductAndLedgerClean) {
     EXPECT_EQ(r.transport.retransmits, 0u);
 }
 
-TEST(EngineTransport, AckDelayConfigPlumbsThroughToTheEngines) {
-    // ParallelConfig::transport_ack_delay_rounds reaches the engine's
-    // Machine through arm_transport: delayed eviction must change nothing
-    // about correctness or the fault ledger on a clean run.
-    Rng rng{99};
-    const BigInt a = random_bits(rng, 1200);
-    const BigInt b = random_bits(rng, 1100);
-    ResilientConfig cfg;
-    cfg.engine = FtEngine::Poly;
-    cfg.base.k = 2;
-    cfg.base.processors = 9;
-    cfg.base.digit_bits = 32;
-    cfg.base.transport_guard = true;
-    cfg.base.transport_ack_delay_rounds = 8;
-    const FtRunResult r = run_ft_engine(a, b, cfg, FaultPlan{});
-    EXPECT_EQ(r.product, a * b);
-    EXPECT_GT(r.transport.sent_frames, 0u);
-    EXPECT_EQ(r.transport.detected_losses(), 0u);
-    EXPECT_EQ(r.transport.retransmits, 0u);
-    // The delay must not leak retention past the run.
-    EXPECT_EQ(r.transport.live_streams_end, 0u);
-}
-
 TEST(EngineTransport, ResilientLadderAccumulatesTransportStats) {
     Rng rng{88};
     const BigInt a = random_bits(rng, 1000);

@@ -1,10 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "bigint/ops_counter.hpp"
 #include "bigint/random.hpp"
-#include "toom/hybrid.hpp"
 #include "toom/sequential.hpp"
-#include "toom/squaring.hpp"
 #include "toom/unbalanced.hpp"
 
 namespace ftmul {
@@ -79,14 +76,16 @@ TEST(Unbalanced, VeryLopsidedOperands) {
 }
 
 TEST(Squaring, MatchesMultiplication) {
+    // Squaring runs through toom_multiply with both operands aliasing one
+    // value.
     Rng rng{31};
     for (int k : {2, 3, 4}) {
         auto plan = ToomPlan::make(k);
-        SquareOptions opts;
+        ToomOptions opts;
         opts.threshold_bits = 256;
         for (std::size_t bits : {std::size_t{2000}, std::size_t{9000}}) {
             BigInt a = random_signed_bits(rng, bits);
-            EXPECT_EQ(toom_square(a, plan, opts), a * a)
+            EXPECT_EQ(toom_multiply(a, a, plan, opts), a * a)
                 << "k=" << k << " bits=" << bits;
         }
     }
@@ -94,63 +93,16 @@ TEST(Squaring, MatchesMultiplication) {
 
 TEST(Squaring, EdgeValues) {
     auto plan = ToomPlan::make(3);
-    SquareOptions opts;
-    opts.threshold_bits = 64;
-    EXPECT_EQ(toom_square(BigInt{}, plan, opts), BigInt{});
-    EXPECT_EQ(toom_square(BigInt{-5}, plan, opts), BigInt{25});
-    BigInt p = BigInt::power_of_two(5000);
-    EXPECT_EQ(toom_square(p, plan, opts), BigInt::power_of_two(10000));
-    EXPECT_EQ(toom_square(p - BigInt{1}, plan, opts),
-              (p - BigInt{1}) * (p - BigInt{1}));
-}
-
-TEST(Hybrid, MatchesSchoolbookAcrossSizes) {
-    const ToomPlan t2 = ToomPlan::make(2), t3 = ToomPlan::make(3),
-                   t4 = ToomPlan::make(4);
-    const HybridSchedule schedule = HybridSchedule::standard(t2, t3, t4);
-    Rng rng{61};
-    for (std::size_t bits : {100u, 7000u, 100000u, 1100000u}) {
-        BigInt a = random_signed_bits(rng, bits);
-        BigInt b = random_signed_bits(rng, bits - bits / 5);
-        // Oracle for big sizes via Toom-3 (schoolbook too slow at 1 Mbit).
-        const BigInt expect =
-            bits > 50000 ? toom_multiply(a, b, t3) : a * b;
-        EXPECT_EQ(toom_multiply_hybrid(a, b, schedule), expect) << bits;
-    }
-}
-
-TEST(Hybrid, CustomScheduleAndEmptySchedule) {
-    const ToomPlan t2 = ToomPlan::make(2);
-    Rng rng{62};
-    BigInt a = random_bits(rng, 5000), b = random_bits(rng, 5000);
-    // Empty schedule degenerates to schoolbook.
-    HybridSchedule none;
-    EXPECT_EQ(toom_multiply_hybrid(a, b, none), a * b);
-    // Aggressive single-level schedule.
-    HybridSchedule aggressive;
-    aggressive.levels = {{512, &t2}};
-    EXPECT_EQ(toom_multiply_hybrid(a, b, aggressive), a * b);
-    EXPECT_EQ(toom_multiply_hybrid(BigInt{}, b, aggressive), BigInt{});
-}
-
-TEST(Hybrid, UsesLargerKOnlyAtScale) {
-    // Structural check: count limb ops — the hybrid should beat fixed
-    // Toom-2 at 1 Mbit (the whole point of switching k).
-    const ToomPlan t2 = ToomPlan::make(2), t3 = ToomPlan::make(3),
-                   t4 = ToomPlan::make(4);
-    const HybridSchedule schedule = HybridSchedule::standard(t2, t3, t4);
-    Rng rng{63};
-    BigInt a = random_bits(rng, 1 << 20), b = random_bits(rng, 1 << 20);
-    OpsCounter::reset();
-    BigInt h = toom_multiply_hybrid(a, b, schedule);
-    const auto hybrid_ops = OpsCounter::get();
     ToomOptions opts;
-    opts.threshold_bits = 6 << 10;
-    OpsCounter::reset();
-    BigInt fixed = toom_multiply(a, b, t2, opts);
-    const auto toom2_ops = OpsCounter::get();
-    EXPECT_EQ(h, fixed);
-    EXPECT_LT(hybrid_ops, toom2_ops);
+    opts.threshold_bits = 64;
+    const auto square = [&](const BigInt& x) {
+        return toom_multiply(x, x, plan, opts);
+    };
+    EXPECT_EQ(square(BigInt{}), BigInt{});
+    EXPECT_EQ(square(BigInt{-5}), BigInt{25});
+    BigInt p = BigInt::power_of_two(5000);
+    EXPECT_EQ(square(p), BigInt::power_of_two(10000));
+    EXPECT_EQ(square(p - BigInt{1}), (p - BigInt{1}) * (p - BigInt{1}));
 }
 
 }  // namespace
