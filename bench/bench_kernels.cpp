@@ -1,6 +1,8 @@
 // Microbenchmarks for the allocation-free hot paths: the limb kernels
 // behind BigInt, the sequential Toom leaf path they serve, the machine
-// engines' leaf convolution and product assembly, and the Machine's
+// engines' leaf convolution, their coefficient-block evaluation,
+// interpolation, fold and leaf against the BigInt vectors they replaced,
+// product assembly, and the Machine's
 // persistent thread-pool executor. The full run adds an end-to-end wall
 // table (engine x operand size) that shows what those layers buy one whole
 // multiply.
@@ -35,12 +37,13 @@
 #include "bigint/limb_ops.hpp"
 #include "bigint/ops_counter.hpp"
 #include "bigint/random.hpp"
+#include "core/coeff_block.hpp"
+#include "core/kronecker.hpp"
 #include "core/layout.hpp"
 #include "core/parallel.hpp"
 #include "core/resilient.hpp"
 #include "runtime/machine.hpp"
 #include "toom/digits.hpp"
-#include "toom/kronecker.hpp"
 #include "toom/lazy.hpp"
 #include "toom/plan.hpp"
 #include "toom/sequential.hpp"
@@ -300,6 +303,119 @@ void leaf_convolve_table(bench::JsonReport& report, bool smoke) {
     report.add_table("machine-engine leaf convolution", rows, 0);
 }
 
+/// One BigInt-vs-block pair: both rows carry their own F (the block
+/// kernels charge limbs per coefficient, the BigInt ones per operation), so
+/// the check is that the outputs agree, not that the charges do.
+template <typename FBig, typename FBlock>
+void block_rows(std::vector<bench::Row>& rows, const std::string& name,
+                FBig&& fbig, FBlock&& fblock, bool ok, int iters, int rounds) {
+    const std::uint64_t f_big = charged_flops(fbig);
+    const std::uint64_t f_block = charged_flops(fblock);
+    const auto [big_ns, block_ns] = ab_time_ns(fbig, fblock, iters, rounds);
+    rows.push_back(kernel_row(name + "/bigint", big_ns, f_big, ok));
+    rows.push_back(kernel_row(name + "/block", block_ns, f_block, ok));
+    std::printf("%-22s bigint %10.1f us  block %10.1f us  speedup %5.2fx  "
+                "output %s\n",
+                name.c_str(), big_ns / 1e3, block_ns / 1e3, big_ns / block_ns,
+                ok ? "identical" : "MISMATCH");
+}
+
+void block_kernels_table(bench::JsonReport& report, bool smoke) {
+    bench::print_header("distributed-path kernels: BigInt vectors vs blocks");
+    // The rank shapes of an 80,000-bit multiply at k=2, P=9, 32-bit digits
+    // (a tenth under --smoke): evaluation of two 630-digit operand blocks,
+    // interpolation and overlap-add of three 1,260-coefficient child blocks,
+    // and one 630-digit leaf. Operands carry the 34 bits of two evaluation
+    // levels, children the ~78 bits of a leaf product, both signed; blocks
+    // sit at the strides block_strides gives that shape (1 and 2 limbs).
+    Rng rng{29};
+    const std::size_t n = smoke ? 63 : 630;
+    const std::size_t rc = 2 * n;
+    const ToomPlan plan = ToomPlan::make(2);
+    const InterpOperator& interp = plan.interpolation();
+    std::vector<BigInt> digits(2 * n), children(3 * rc);
+    for (BigInt& d : digits) d = random_signed_bits(rng, 34);
+    for (BigInt& c : children) c = random_signed_bits(rng, 78);
+    const CoeffBlock digit_block = from_bigints(digits, 1);
+    const CoeffBlock child_block = from_bigints(children, 2);
+    const int iters = smoke ? 20 : 10;
+    const int rounds = smoke ? 3 : 5;
+    const std::string ns = std::to_string(n);
+    const std::string rcs = std::to_string(rc);
+    std::vector<bench::Row> rows;
+
+    std::vector<BigInt> eval_big(3 * n);
+    CoeffBlock eval_block(3 * n, 1);
+    const auto eval_bigint = [&] { plan.evaluate_blocks(digits, eval_big, n); };
+    const auto eval_blocks = [&] {
+        evaluate_blocks(plan.eval_matrix(), digit_block, eval_block, n);
+    };
+    eval_bigint();
+    eval_blocks();
+    block_rows(rows, "eval/2x" + ns, eval_bigint, eval_blocks,
+               to_bigints(eval_block) == eval_big, iters, rounds);
+
+    std::vector<BigInt> interp_big(3 * rc);
+    CoeffBlock interp_block(3 * rc, 2);
+    const auto interp_bigint = [&] {
+        interp.apply_blocks(children, interp_big, rc);
+    };
+    const auto interp_blocks = [&] {
+        apply_blocks(interp, child_block, interp_block, rc);
+    };
+    interp_bigint();
+    interp_blocks();
+    block_rows(rows, "interp/3x" + rcs, interp_bigint, interp_blocks,
+               to_bigints(interp_block) == interp_big, iters, rounds);
+
+    // The overlap-add of three child-sized blocks n apart; the BigInt side
+    // is the vector fold the engines ran before blocks.
+    std::vector<BigInt> fold_big;
+    CoeffBlock fold_block;
+    const std::vector<std::size_t> offsets{0, n, 2 * n};
+    const auto fold_bigint = [&] {
+        fold_big.assign(4 * n, BigInt{});
+        for (std::size_t i = 0; i < 3; ++i) {
+            for (std::size_t t = 0; t < rc; ++t) {
+                fold_big[offsets[i] + t] += children[i * rc + t];
+            }
+        }
+    };
+    const auto fold_blocks_ = [&] {
+        fold_block = fold_blocks(child_block, offsets, rc, 4 * n);
+    };
+    fold_bigint();
+    fold_blocks_();
+    block_rows(rows, "fold/3x" + rcs, fold_bigint, fold_blocks_,
+               to_bigints(fold_block) == fold_big, iters, rounds);
+
+    // The leaf: the BigInt adapter converts per digit around the same
+    // packed product; the block leaf packs and unpacks the limb arrays.
+    const std::vector<BigInt> a(digits.begin(), digits.begin() + n);
+    const std::vector<BigInt> b(digits.begin() + n, digits.end());
+    const CoeffBlock ab = from_bigints(a, 1);
+    const CoeffBlock bb = from_bigints(b, 1);
+    std::vector<BigInt> leaf_big;
+    CoeffBlock leaf_block;
+    const auto leaf_bigint = [&] {
+        leaf_big = kronecker_convolve(a, b, [&](const BigInt& x, const BigInt& y) {
+            return toom_multiply(x, y, plan);
+        });
+    };
+    const auto leaf_blocks = [&] {
+        leaf_block = core_detail::leaf_multiply(plan, ab, bb, 2);
+    };
+    leaf_bigint();
+    leaf_blocks();
+    std::vector<BigInt> leaf_want = leaf_big;
+    leaf_want.emplace_back();  // the leaf pads to twice its input length
+    block_rows(rows, "leaf/" + ns, leaf_bigint, leaf_blocks,
+               to_bigints(leaf_block) == leaf_want, smoke ? 4 : 2, rounds);
+
+    bench::print_rows(rows, 0);
+    report.add_table("distributed-path kernels: BigInt vs block", rows, 0);
+}
+
 void assemble_table(bench::JsonReport& report, bool smoke) {
     bench::print_header("product assembly: Horner vs linear carry walk");
     // The product of an 80,000-bit multiply at 32-bit digits has 5,000
@@ -315,12 +431,14 @@ void assemble_table(bench::JsonReport& report, bool smoke) {
     for (auto& slice : slices) {
         for (BigInt& c : slice) c = random_below_2pow(rng, 76);
     }
+    std::vector<CoeffBlock> blocks;
+    for (const auto& slice : slices) blocks.push_back(from_bigints(slice));
     BigInt horner, linear;
     const auto run_horner = [&] {
         horner = recompose_digits(unslice(slices, 1), digit_bits);
     };
     const auto run_linear = [&] {
-        linear = kronecker_assemble(slices, digit_bits);
+        linear = kronecker_assemble(blocks, digit_bits);
     };
     const std::uint64_t f_horner = charged_flops(run_horner);
     const std::uint64_t f_linear = charged_flops(run_linear);
@@ -455,6 +573,7 @@ int main(int argc, char** argv) {
     ftmul::addsub_table(report, smoke);
     ftmul::toom_end_to_end_table(report, smoke);
     ftmul::leaf_convolve_table(report, smoke);
+    ftmul::block_kernels_table(report, smoke);
     ftmul::assemble_table(report, smoke);
     ftmul::machine_reuse_table(report, smoke);
     if (!smoke) ftmul::end_to_end_wall_table(report);

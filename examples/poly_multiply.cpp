@@ -12,7 +12,7 @@
 
 #include "bigint/random.hpp"
 #include "toom/digits.hpp"
-#include "toom/kronecker.hpp"
+#include "core/kronecker.hpp"
 #include "toom/sequential.hpp"
 
 int main(int argc, char** argv) {

@@ -88,9 +88,10 @@ FtRunResult checkpoint_toom_multiply(const BigInt& a, const BigInt& b,
     if (a.is_zero() || b.is_zero()) return result;
 
     const ToomPlan tplan = ToomPlan::make(k);
+    const BlockStrides strides = block_strides(shape, tplan);
     Machine machine(P, plan);
     arm_transport(machine, cfg.base);
-    std::vector<std::vector<BigInt>> slices(static_cast<std::size_t>(P));
+    std::vector<CoeffBlock> slices(static_cast<std::size_t>(P));
     const auto unpts = static_cast<std::size_t>(npts);
     const std::size_t N = shape.total_digits;
 
@@ -132,14 +133,14 @@ FtRunResult checkpoint_toom_multiply(const BigInt& a, const BigInt& b,
         };
 
         rank.phase("split");
-        std::vector<BigInt> a_loc = local_input_digits(a, shape, P, me);
-        std::vector<BigInt> b_loc = local_input_digits(b, shape, P, me);
+        CoeffBlock a_loc = local_input_digits(a, shape, P, me, strides.operand);
+        CoeffBlock b_loc = local_input_digits(b, shape, P, me, strides.operand);
 
         std::vector<BigInt> state = pack_pair(a_loc, b_loc);
         checkpoint("ckpt-input", 700, state);
         const bool fail_eval = rank.phase(kEvalPhase);
         restore(kEvalPhase, 710, fail_eval, state);
-        if (fail_eval) unpack_pair(std::move(state), a_loc, b_loc);
+        if (fail_eval) unpack_pair(state, a_loc, b_loc);
         state.clear();
 
         struct Level {
@@ -156,9 +157,10 @@ FtRunResult checkpoint_toom_multiply(const BigInt& a, const BigInt& b,
             if (lv > 0) rank.phase("eval-L" + lvl);
             const std::size_t m = g.size();
             const std::size_t s = len / static_cast<std::size_t>(k) / m;
-            std::vector<BigInt> ea(unpts * s), eb(unpts * s);
-            tplan.evaluate_blocks(a_loc, ea, s);
-            tplan.evaluate_blocks(b_loc, eb, s);
+            CoeffBlock ea(unpts * s, strides.operand);
+            CoeffBlock eb(unpts * s, strides.operand);
+            evaluate_blocks(tplan.eval_matrix(), a_loc, ea, s);
+            evaluate_blocks(tplan.eval_matrix(), b_loc, eb, s);
             rank.phase("xfwd-L" + lvl);
             std::tie(a_loc, b_loc) = exchange_forward_pair(
                 rank, g, unpts, bs, std::move(ea), std::move(eb),
@@ -175,11 +177,10 @@ FtRunResult checkpoint_toom_multiply(const BigInt& a, const BigInt& b,
         restore(kLeafPhase, 730, fail_leaf, state);
         if (fail_leaf) {
             // Rollback + replay: redo the lost multiplication.
-            unpack_pair(std::move(state), a_loc, b_loc);
+            unpack_pair(state, a_loc, b_loc);
         }
         state.clear();
-        std::vector<BigInt> child =
-            leaf_multiply(tplan, std::move(a_loc), std::move(b_loc));
+        CoeffBlock child = leaf_multiply(tplan, a_loc, b_loc, strides.product);
 
         for (int lv = bfs - 1; lv >= 0; --lv) {
             const Level& L = levels[static_cast<std::size_t>(lv)];
@@ -188,18 +189,23 @@ FtRunResult checkpoint_toom_multiply(const BigInt& a, const BigInt& b,
             const std::size_t s = L.len / static_cast<std::size_t>(k) / m;
             const std::size_t rc = 2 * s;
             rank.phase("xbwd-L" + lvl);
-            std::vector<BigInt> children = exchange_backward(
+            CoeffBlock children = exchange_backward(
                 rank, L.g, unpts, L.bs, std::move(child), 102 + lv * 8);
 
             if (lv == 0) {
-                checkpoint("ckpt-children", 740, children);
+                state = to_bigints(children);
+                checkpoint("ckpt-children", 740, state);
                 const bool fail_interp = rank.phase(kInterpPhase);
-                restore(kInterpPhase, 750, fail_interp, children);
+                restore(kInterpPhase, 750, fail_interp, state);
+                if (fail_interp) {
+                    children = from_bigints(state, children.stride());
+                }
+                state.clear();
             } else {
                 rank.phase("interp-L" + lvl);
             }
-            std::vector<BigInt> coeffs(unpts * rc);
-            tplan.interpolation().apply_blocks(children, coeffs, rc);
+            CoeffBlock coeffs(unpts * rc, strides.product);
+            apply_blocks(tplan.interpolation(), children, coeffs, rc);
             child = fold_blocks_local(coeffs, unpts, rc, s, 2 * L.len / m);
         }
         slices[static_cast<std::size_t>(me)] = std::move(child);

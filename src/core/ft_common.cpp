@@ -5,10 +5,11 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/kronecker.hpp"
+#include "core/layout.hpp"
 #include "linalg/exact_solve.hpp"
 #include "runtime/collectives.hpp"
 #include "runtime/fault.hpp"
-#include "toom/kronecker.hpp"
 
 namespace ftmul::core_detail {
 
@@ -36,7 +37,7 @@ void arm_transport(Machine& machine, const ParallelConfig& cfg) {
     }
 }
 
-BigInt signed_product(const std::vector<std::vector<BigInt>>& slices,
+BigInt signed_product(std::span<const CoeffBlock> slices,
                       std::size_t digit_bits, const BigInt& a,
                       const BigInt& b) {
     BigInt prod = kronecker_assemble(slices, digit_bits);
@@ -44,36 +45,28 @@ BigInt signed_product(const std::vector<std::vector<BigInt>>& slices,
     return a.sign() * b.sign() < 0 ? -prod : prod;
 }
 
-std::vector<BigInt> pack_pair(const std::vector<BigInt>& x,
-                              const std::vector<BigInt>& y) {
-    std::vector<BigInt> s = x;
-    s.insert(s.end(), y.begin(), y.end());
+std::vector<BigInt> pack_pair(const CoeffBlock& x, const CoeffBlock& y) {
+    std::vector<BigInt> s = to_bigints(x);
+    std::vector<BigInt> t = to_bigints(y);
+    s.insert(s.end(), std::make_move_iterator(t.begin()),
+             std::make_move_iterator(t.end()));
     return s;
 }
 
-void unpack_pair(std::vector<BigInt> s, std::vector<BigInt>& x,
-                 std::vector<BigInt>& y) {
+void unpack_pair(const std::vector<BigInt>& s, CoeffBlock& x, CoeffBlock& y) {
+    const std::span<const BigInt> all(s);
     const std::size_t half = s.size() / 2;
-    y.assign(std::make_move_iterator(s.begin() +
-                                     static_cast<std::ptrdiff_t>(half)),
-             std::make_move_iterator(s.end()));
-    s.resize(half);
-    x = std::move(s);
+    x = from_bigints(all.first(half), x.stride());
+    y = from_bigints(all.subspan(half), y.stride());
 }
 
-std::vector<BigInt> fold_blocks_local(std::span<const BigInt> blocks,
-                                      std::size_t npts, std::size_t rc,
-                                      std::size_t block_gap_local,
-                                      std::size_t out_local_len) {
-    assert(blocks.size() == npts * rc);
+CoeffBlock fold_blocks_local(const CoeffBlock& blocks, std::size_t npts,
+                             std::size_t rc, std::size_t block_gap_local,
+                             std::size_t out_local_len) {
     assert((npts - 1) * block_gap_local + rc <= out_local_len);
-    std::vector<BigInt> out(out_local_len);
-    for (std::size_t i = 0; i < npts; ++i) {
-        for (std::size_t t = 0; t < rc; ++t) {
-            out[i * block_gap_local + t] += blocks[i * rc + t];
-        }
-    }
-    return out;
+    std::vector<std::size_t> offsets(npts);
+    for (std::size_t i = 0; i < npts; ++i) offsets[i] = i * block_gap_local;
+    return fold_blocks(blocks, offsets, rc, out_local_len);
 }
 
 const std::vector<int>* ColumnFaults::dead_in(const std::string& phase,
@@ -230,56 +223,39 @@ std::vector<std::size_t> PolyLoss::roles(std::size_t col) const {
     return r;
 }
 
-std::vector<std::vector<BigInt>> exchange_backward_substituted(
-    Rank& rank, const PolyLoss& loss, std::size_t row, std::size_t col,
-    std::vector<BigInt> child) {
+void exchange_backward_substituted(Rank& rank, const PolyLoss& loss,
+                                   std::size_t row, std::size_t col,
+                                   const CoeffBlock& child) {
     const std::size_t wide = loss.wide;
     const std::size_t superchunks = child.size() / wide;
-    std::vector<std::vector<BigInt>> pieces(wide);
-    for (auto& p : pieces) p.reserve(superchunks);
-    for (std::size_t q = 0; q < superchunks; ++q) {
-        for (std::size_t c2 = 0; c2 < wide; ++c2) {
-            pieces[c2].push_back(std::move(child[q * wide + c2]));
-        }
-    }
-    std::map<int, std::vector<std::pair<int, std::span<const BigInt>>>>
-        outbound;
+    std::map<int, std::vector<TaggedPayload>> outbound;
     for (std::size_t c2 = 0; c2 < wide; ++c2) {
         if (c2 == col) continue;
         const std::size_t dst_col =
             loss.doomed.count(static_cast<int>(c2)) ? loss.sub : c2;
         if (dst_col == col) continue;  // the substitute keeps it locally
-        outbound[static_cast<int>(row * wide + dst_col)].emplace_back(
-            kPieceTag + static_cast<int>(c2),
-            std::span<const BigInt>(pieces[c2]));
+        outbound[static_cast<int>(row * wide + dst_col)].push_back(
+            {kPieceTag + static_cast<int>(c2),
+             frame_coeffs(child, CoeffRuns{c2, superchunks, 1, wide})});
     }
-    for (const auto& [dst, items] : outbound) {
-        rank.send_bigints_batch(dst, items);
-    }
+    for (auto& [dst, msgs] : outbound) rank.send_batch(dst, std::move(msgs));
     rank.add_latency(wide - 1);
-    return pieces;
 }
 
-std::vector<BigInt> gather_role(Rank& rank, const PolyLoss& loss,
-                                std::size_t row, std::size_t col,
-                                std::size_t role,
-                                const std::vector<std::vector<BigInt>>& pieces,
-                                std::size_t rc, const char* engine) {
-    std::vector<BigInt> children;
-    children.reserve(loss.used.size() * rc);
-    for (std::size_t src : loss.used) {
+CoeffBlock gather_role(Rank& rank, const PolyLoss& loss, std::size_t row,
+                       std::size_t col, std::size_t role,
+                       const CoeffBlock& child, std::size_t rc) {
+    CoeffBlock children(loss.used.size() * rc, child.stride());
+    for (std::size_t u = 0; u < loss.used.size(); ++u) {
+        const std::size_t src = loss.used[u];
+        const CoeffRuns dst = CoeffRuns::range(u * rc, rc);
         if (src == col) {
-            children.insert(children.end(), pieces[role].begin(),
-                            pieces[role].end());
+            copy_coeffs(child, CoeffRuns{role, rc, 1, loss.wide}, children,
+                        dst);
             continue;
         }
-        auto got = rank.recv_bigints(static_cast<int>(row * loss.wide + src),
-                                     kPieceTag + static_cast<int>(role));
-        if (got.size() != rc) {
-            throw std::runtime_error(std::string(engine) + ": piece mismatch");
-        }
-        children.insert(children.end(), std::make_move_iterator(got.begin()),
-                        std::make_move_iterator(got.end()));
+        recv_coeffs(rank, static_cast<int>(row * loss.wide + src),
+                    kPieceTag + static_cast<int>(role), children, dst);
     }
     return children;
 }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "bigint/bigint.hpp"
+#include "core/coeff_block.hpp"
 #include "core/config.hpp"
 #include "runtime/machine.hpp"
 
@@ -30,7 +31,7 @@ void arm_transport(Machine& machine, const ParallelConfig& cfg);
 /// The signed product a*b from the ranks' positional result slices (layout
 /// bs=1): one linear carry walk (kronecker_assemble) recomposes |a*b|
 /// straight from the slices, the operand signs fix the sign.
-BigInt signed_product(const std::vector<std::vector<BigInt>>& slices,
+BigInt signed_product(std::span<const CoeffBlock> slices,
                       std::size_t digit_bits, const BigInt& a,
                       const BigInt& b);
 
@@ -39,8 +40,8 @@ BigInt signed_product(const std::vector<std::vector<BigInt>>& slices,
 /// recomposition is verification plumbing outside the cost model.
 template <class Result>
 void finish_run(Result& result, const Machine& machine,
-                const std::vector<std::vector<BigInt>>& slices,
-                const BigInt& a, const BigInt& b) {
+                const std::vector<CoeffBlock>& slices, const BigInt& a,
+                const BigInt& b) {
     result.stats = machine.stats();
     result.transport = machine.transport_stats();
     result.events = machine.event_log();
@@ -49,23 +50,22 @@ void finish_run(Result& result, const Machine& machine,
 
 // ---- state packing and folding -------------------------------------------
 
-/// The (a|b) state a code protects: x followed by y.
-std::vector<BigInt> pack_pair(const std::vector<BigInt>& x,
-                              const std::vector<BigInt>& y);
+/// The (a|b) state a code protects, as the BigInts the coding layer takes:
+/// x followed by y.
+std::vector<BigInt> pack_pair(const CoeffBlock& x, const CoeffBlock& y);
 
-/// Inverse of pack_pair: split s at its midpoint into x and y.
-void unpack_pair(std::vector<BigInt> s, std::vector<BigInt>& x,
-                 std::vector<BigInt>& y);
+/// Inverse of pack_pair: split s at its midpoint into x and y, each at the
+/// stride it already has.
+void unpack_pair(const std::vector<BigInt>& s, CoeffBlock& x, CoeffBlock& y);
 
 /// Overlap-add the npts interpolated coefficient blocks (each the positional
 /// result of a len/k sub-product, rc local values) into the positional result
 /// of the len-sized problem (out_local_len local values). Block i sits at
 /// local offset i*block_gap_local — whole cyclic cycles, so the operation is
 /// fully local.
-std::vector<BigInt> fold_blocks_local(std::span<const BigInt> blocks,
-                                      std::size_t npts, std::size_t rc,
-                                      std::size_t block_gap_local,
-                                      std::size_t out_local_len);
+CoeffBlock fold_blocks_local(const CoeffBlock& blocks, std::size_t npts,
+                             std::size_t rc, std::size_t block_gap_local,
+                             std::size_t out_local_len);
 
 // ---- linear column code (Section 4.1) ------------------------------------
 
@@ -140,25 +140,23 @@ struct PolyLoss {
     std::vector<std::size_t> roles(std::size_t col) const;
 };
 
-/// Backward exchange with substitution: split this rank's child result into
-/// `wide` interleaved pieces and send piece c2 (tag 60 + c2) to row peer c2,
-/// or to the substitute when c2 is doomed; the substitute keeps its own
-/// column's pieces for substituted roles locally. Pieces sharing a
-/// destination are coalesced into one batched delivery, each still charged
-/// as its own message. Returns all pieces (the kept ones are read back by
-/// gather_role).
-std::vector<std::vector<BigInt>> exchange_backward_substituted(
-    Rank& rank, const PolyLoss& loss, std::size_t row, std::size_t col,
-    std::vector<BigInt> child);
+/// Backward exchange with substitution: this rank's child result holds
+/// `wide` interleaved pieces (piece c2 is every wide-th coefficient from
+/// c2); send piece c2 (tag 60 + c2) to row peer c2, or to the substitute
+/// when c2 is doomed; the substitute keeps its own column's pieces for
+/// substituted roles locally. Pieces sharing a destination are coalesced
+/// into one batched delivery, each still charged as its own message.
+void exchange_backward_substituted(Rank& rank, const PolyLoss& loss,
+                                   std::size_t row, std::size_t col,
+                                   const CoeffBlock& child);
 
 /// The interpolation input of one role: its pieces from every used column
-/// in `loss.used` order — kept locally for this rank's own column, received
-/// from the row peer otherwise. Each piece must hold rc values.
-std::vector<BigInt> gather_role(Rank& rank, const PolyLoss& loss,
-                                std::size_t row, std::size_t col,
-                                std::size_t role,
-                                const std::vector<std::vector<BigInt>>& pieces,
-                                std::size_t rc, const char* engine);
+/// in `loss.used` order — read from this rank's own @p child for its own
+/// column, received from the row peer otherwise. Each piece must hold rc
+/// values; the result has the child's stride.
+CoeffBlock gather_role(Rank& rank, const PolyLoss& loss, std::size_t row,
+                       std::size_t col, std::size_t role,
+                       const CoeffBlock& child, std::size_t rc);
 
 /// Interpolate this rank's own role, then — on the substitute — every
 /// doomed role as attributed recovery work (begin_recovery with the row's

@@ -116,9 +116,10 @@ FtRunResult ft_linear_multiply(const BigInt& a, const BigInt& b,
     if (a.is_zero() || b.is_zero()) return result;
 
     const ToomPlan tplan = ToomPlan::make(k);
+    const BlockStrides strides = block_strides(shape, tplan);
     Machine machine(world, plan);
     arm_transport(machine, cfg.base);
-    std::vector<std::vector<BigInt>> slices(static_cast<std::size_t>(P));
+    std::vector<CoeffBlock> slices(static_cast<std::size_t>(P));
 
     const std::size_t N = shape.total_digits;
     const auto unpts = static_cast<std::size_t>(npts);
@@ -171,8 +172,10 @@ FtRunResult ft_linear_multiply(const BigInt& a, const BigInt& b,
 
         // ----- data processor -----
         rank.phase("split");
-        std::vector<BigInt> a_loc = local_input_digits(a, shape, P, rank.id());
-        std::vector<BigInt> b_loc = local_input_digits(b, shape, P, rank.id());
+        CoeffBlock a_loc =
+            local_input_digits(a, shape, P, rank.id(), strides.operand);
+        CoeffBlock b_loc =
+            local_input_digits(b, shape, P, rank.id(), strides.operand);
 
         // Forward sweep: every BFS level's evaluation boundary is protected
         // by a fresh code over the current (a|b) state.
@@ -188,14 +191,15 @@ FtRunResult ft_linear_multiply(const BigInt& a, const BigInt& b,
         for (int lv = 0; lv < bfs; ++lv) {
             std::vector<BigInt> state = pack_pair(a_loc, b_loc);
             if (protect(fwd_bounds[static_cast<std::size_t>(lv)], state)) {
-                unpack_pair(std::move(state), a_loc, b_loc);
+                unpack_pair(state, a_loc, b_loc);
             }
 
             const std::size_t m = g.size();
             const std::size_t s = len / static_cast<std::size_t>(k) / m;
-            std::vector<BigInt> ea(unpts * s), eb(unpts * s);
-            tplan.evaluate_blocks(a_loc, ea, s);
-            tplan.evaluate_blocks(b_loc, eb, s);
+            CoeffBlock ea(unpts * s, strides.operand);
+            CoeffBlock eb(unpts * s, strides.operand);
+            evaluate_blocks(tplan.eval_matrix(), a_loc, ea, s);
+            evaluate_blocks(tplan.eval_matrix(), b_loc, eb, s);
             rank.note_memory((a_loc.size() + b_loc.size() + 2 * unpts * s) *
                              ((shape.digit_bits + 63) / 64 + 2));
             rank.phase("xfwd-L" + std::to_string(lv));
@@ -213,11 +217,10 @@ FtRunResult ft_linear_multiply(const BigInt& a, const BigInt& b,
         {
             std::vector<BigInt> state = pack_pair(a_loc, b_loc);
             if (protect(leaf_bound, state)) {
-                unpack_pair(std::move(state), a_loc, b_loc);
+                unpack_pair(state, a_loc, b_loc);
             }
         }
-        std::vector<BigInt> child =
-            leaf_multiply(tplan, std::move(a_loc), std::move(b_loc));
+        CoeffBlock child = leaf_multiply(tplan, a_loc, b_loc, strides.product);
 
         // Backward sweep: every interpolation boundary protected likewise.
         for (int lv = bfs - 1; lv >= 0; --lv) {
@@ -226,15 +229,19 @@ FtRunResult ft_linear_multiply(const BigInt& a, const BigInt& b,
             const std::size_t s = L.len / static_cast<std::size_t>(k) / m;
             const std::size_t rc = 2 * s;
             rank.phase("xbwd-L" + std::to_string(lv));
-            std::vector<BigInt> children = exchange_backward(
+            CoeffBlock children = exchange_backward(
                 rank, L.g, unpts, L.bs, std::move(child), 102 + lv * 8);
 
             const Boundary& bd =
                 bwd_bounds[static_cast<std::size_t>(bfs - 1 - lv)];
-            protect(bd, children);  // a failed rank gets its children rebuilt
+            std::vector<BigInt> state = to_bigints(children);
+            if (protect(bd, state)) {
+                // A failed rank gets its children rebuilt.
+                children = from_bigints(state, children.stride());
+            }
 
-            std::vector<BigInt> coeffs(unpts * rc);
-            tplan.interpolation().apply_blocks(children, coeffs, rc);
+            CoeffBlock coeffs(unpts * rc, strides.product);
+            apply_blocks(tplan.interpolation(), children, coeffs, rc);
             child = fold_blocks_local(coeffs, unpts, rc, s, 2 * L.len / m);
         }
         slices[static_cast<std::size_t>(rank.id())] = std::move(child);

@@ -117,9 +117,12 @@ FtRunResult ft_mixed_multiply(const BigInt& a, const BigInt& b,
     if (a.is_zero() || b.is_zero()) return result;
 
     const ToomPlan tplan = ToomPlan::make(k, static_cast<std::size_t>(f));
+    // On-the-fly interpolation from the surviving points.
+    const InterpOperator op = tplan.interpolation_for(loss.used);
+    const BlockStrides strides = block_strides(shape, tplan, &op);
     Machine machine(world, plan);
     arm_transport(machine, cfg.base);
-    std::vector<std::vector<BigInt>> slices(static_cast<std::size_t>(data_world));
+    std::vector<CoeffBlock> slices(static_cast<std::size_t>(data_world));
 
     const std::size_t N = shape.total_digits;
     const auto unpts = static_cast<std::size_t>(npts);
@@ -171,10 +174,10 @@ FtRunResult ft_mixed_multiply(const BigInt& a, const BigInt& b,
         const std::size_t row = static_cast<std::size_t>(rank.id()) / uwide;
 
         rank.phase("split");
-        std::vector<BigInt> a_loc =
-            local_input_digits(a, shape, data_world, rank.id());
-        std::vector<BigInt> b_loc =
-            local_input_digits(b, shape, data_world, rank.id());
+        CoeffBlock a_loc = local_input_digits(a, shape, data_world, rank.id(),
+                                              strides.operand);
+        CoeffBlock b_loc = local_input_digits(b, shape, data_world, rank.id(),
+                                              strides.operand);
 
         // Linear code over the inputs; evaluation-phase faults recovered by
         // a reduce over the column (Section 4.1).
@@ -182,14 +185,15 @@ FtRunResult ft_mixed_multiply(const BigInt& a, const BigInt& b,
         if (protect_column(rank, column, "encode-input", kEvalPhase,
                            linear_faults.dead_in(kEvalPhase, col), state, 400,
                            500)) {
-            unpack_pair(std::move(state), a_loc, b_loc);
+            unpack_pair(state, a_loc, b_loc);
         }
         state.clear();
 
         // Redundant-point evaluation + the wide row exchange (Section 4.2).
-        std::vector<BigInt> ea(uwide * s0), eb(uwide * s0);
-        tplan.evaluate_blocks(a_loc, ea, s0);
-        tplan.evaluate_blocks(b_loc, eb, s0);
+        CoeffBlock ea(uwide * s0, strides.operand);
+        CoeffBlock eb(uwide * s0, strides.operand);
+        evaluate_blocks(tplan.eval_matrix(), a_loc, ea, s0);
+        evaluate_blocks(tplan.eval_matrix(), b_loc, eb, s0);
         a_loc.clear();
         b_loc.clear();
 
@@ -202,36 +206,38 @@ FtRunResult ft_mixed_multiply(const BigInt& a, const BigInt& b,
         const bool i_fail_mul = rank.phase(kMulPhase);
         if (i_fail_mul || col_doomed) return;
 
-        std::vector<BigInt> child = dist_convolve(
-            rank, tplan, shape, Group{column.members}, uwide, std::move(a_new),
-            std::move(b_new), N / static_cast<std::size_t>(k), 0, 1);
+        const CoeffBlock child = dist_convolve(
+            rank, tplan, shape, strides, Group{column.members}, uwide,
+            std::move(a_new), std::move(b_new),
+            N / static_cast<std::size_t>(k), 0, 1);
         assert(child.size() == uwide * rc);
 
         // Backward exchange with substitution for dead rows' shares.
         rank.phase("xbwd-L0");
         const auto ucol = static_cast<std::size_t>(col);
-        const auto pieces = exchange_backward_substituted(rank, loss, row, ucol,
-                                                          std::move(child));
+        exchange_backward_substituted(rank, loss, row, ucol, child);
 
         // Receive every role's pieces now so the interpolation state is a
         // single vector the linear code can protect.
-        std::map<std::size_t, std::vector<BigInt>> role_children;
+        std::map<std::size_t, CoeffBlock> role_children;
         for (std::size_t role : loss.roles(ucol)) {
-            role_children[role] = gather_role(rank, loss, row, ucol, role,
-                                              pieces, rc, "ft_mixed");
+            role_children[role] =
+                gather_role(rank, loss, row, ucol, role, child, rc);
         }
 
         // Linear code over the (own-role) child coefficients; interp-phase
         // faults recovered by the column reduce.
-        protect_column(rank, column, "encode-children", kInterpPhase,
-                       linear_faults.dead_in(kInterpPhase, col),
-                       role_children[ucol], 440, 580);
+        CoeffBlock& own = role_children[ucol];
+        std::vector<BigInt> own_state = to_bigints(own);
+        if (protect_column(rank, column, "encode-children", kInterpPhase,
+                           linear_faults.dead_in(kInterpPhase, col), own_state,
+                           440, 580)) {
+            own = from_bigints(own_state, own.stride());
+        }
 
-        // On-the-fly interpolation from the surviving points.
-        const InterpOperator op = tplan.interpolation_for(loss.used);
         interpolate_roles(rank, loss, row, ucol, [&](std::size_t role) {
-            std::vector<BigInt> coeffs(unpts * rc);
-            op.apply_blocks(role_children[role], coeffs, rc);
+            CoeffBlock coeffs(unpts * rc, strides.product);
+            apply_blocks(op, role_children[role], coeffs, rc);
             slices[row * uwide + role] = fold_blocks_local(
                 coeffs, unpts, rc, s0,
                 2 * N / static_cast<std::size_t>(data_world));

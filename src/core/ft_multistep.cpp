@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cassert>
 #include <set>
-#include <span>
 #include <stdexcept>
 
 #include "coding/redundant_points.hpp"
@@ -14,30 +13,7 @@
 
 namespace ftmul {
 
-namespace {
-
 using namespace core_detail;
-
-/// Blockwise application of an integer matrix: out block i = sum_j m(i,j) *
-/// in block j, elementwise over blocks of block_len.
-void apply_matrix_blocks(const Matrix<BigInt>& m, std::span<const BigInt> in,
-                         std::span<BigInt> out, std::size_t block_len) {
-    assert(in.size() == m.cols() * block_len);
-    assert(out.size() == m.rows() * block_len);
-    for (std::size_t i = 0; i < m.rows(); ++i) {
-        for (std::size_t t = 0; t < block_len; ++t) {
-            BigInt acc;
-            for (std::size_t j = 0; j < m.cols(); ++j) {
-                const BigInt& c = m(i, j);
-                if (c.is_zero()) continue;
-                add_mul(acc, c, in[j * block_len + t]);
-            }
-            out[i * block_len + t] = std::move(acc);
-        }
-    }
-}
-
-}  // namespace
 
 FtRunResult ft_multistep_multiply(const BigInt& a, const BigInt& b,
                                   const FtMultistepConfig& cfg,
@@ -115,9 +91,36 @@ FtRunResult ft_multistep_multiply(const BigInt& a, const BigInt& b,
     if (a.is_zero() || b.is_zero()) return result;
 
     const ToomPlan tplan = ToomPlan::make(k);
+
+    // On-the-fly multivariate interpolation from the surviving columns.
+    std::vector<MultiPoint> used_points;
+    for (std::size_t c : loss.used) used_points.push_back(points[c]);
+    const Matrix<BigInt> eval_out = multivariate_eval_matrix(
+        used_points, static_cast<std::size_t>(npts),
+        static_cast<std::size_t>(l));
+    InterpOperator op;
+    try {
+        op = InterpOperator::from_rational(
+            inverse(eval_out.cast<BigRational>()));
+    } catch (const SingularMatrixError&) {
+        throw UnrecoverableFault(
+            "ft_multistep", "interp-fused", dead_ranks,
+            "surviving multipoints do not determine the product "
+            "(singular fused interpolation system)");
+    }
+
+    // The fused step grows the digits by eval_in's rows, the bfs - l plain
+    // levels and the dfs steps inside a column by the plan's.
+    const auto inner_levels =
+        static_cast<std::size_t>(shape.dfs_steps + shape.bfs_steps - l);
+    const BlockStrides strides = block_strides(
+        shape,
+        growth_bits(eval_in) + inner_levels * growth_bits(tplan.eval_matrix()),
+        std::max(growth_bits(op.numerators()),
+                 growth_bits(tplan.interpolation().numerators())));
     Machine machine(world, plan);
     arm_transport(machine, cfg.base);
-    std::vector<std::vector<BigInt>> slices(static_cast<std::size_t>(world));
+    std::vector<CoeffBlock> slices(static_cast<std::size_t>(world));
 
     const std::size_t N = shape.total_digits;
     const auto uwide = static_cast<std::size_t>(wide);
@@ -126,6 +129,23 @@ FtRunResult ft_multistep_multiply(const BigInt& a, const BigInt& b,
     const std::size_t s0 = block / static_cast<std::size_t>(world);
     const std::size_t rc = 2 * s0;            // old-layout slice of a child
 
+    // Overlap-add offsets: the coefficient block with multivariate exponents
+    // (e_1..e_l) — block index sum e_t (2k-1)^(l-t) — lands at digit offset
+    // sum e_t k^(l-t) * block, i.e. local offset in s0 units.
+    const auto uwide_data = static_cast<std::size_t>(wide_data);
+    std::vector<std::size_t> offsets(uwide_data);
+    for (std::size_t i = 0; i < uwide_data; ++i) {
+        std::size_t rem = i;
+        std::size_t offset_units = 0;  // multiples of block
+        std::size_t kpow = 1;
+        for (int t = 0; t < l; ++t) {
+            offset_units += (rem % static_cast<std::size_t>(npts)) * kpow;
+            rem /= static_cast<std::size_t>(npts);
+            kpow *= static_cast<std::size_t>(k);
+        }
+        offsets[i] = offset_units * s0;
+    }
+
     machine.run([&](Rank& rank) {
         const auto id = static_cast<std::size_t>(rank.id());
         const std::size_t col = id % uwide;
@@ -133,15 +153,18 @@ FtRunResult ft_multistep_multiply(const BigInt& a, const BigInt& b,
         const bool col_doomed = doomed.count(static_cast<int>(col)) != 0;
 
         rank.phase("split");
-        std::vector<BigInt> a_loc = local_input_digits(a, shape, world, rank.id());
-        std::vector<BigInt> b_loc = local_input_digits(b, shape, world, rank.id());
+        CoeffBlock a_loc =
+            local_input_digits(a, shape, world, rank.id(), strides.operand);
+        CoeffBlock b_loc =
+            local_input_digits(b, shape, world, rank.id(), strides.operand);
         const Group g = Group::strided(0, world);
 
         // Fused evaluation at all (2k-1)^l + f multipoints, local.
         rank.phase("eval-fused");
-        std::vector<BigInt> ea(uwide * s0), eb(uwide * s0);
-        apply_matrix_blocks(eval_in, a_loc, ea, s0);
-        apply_matrix_blocks(eval_in, b_loc, eb, s0);
+        CoeffBlock ea(uwide * s0, strides.operand);
+        CoeffBlock eb(uwide * s0, strides.operand);
+        evaluate_blocks(eval_in, a_loc, ea, s0);
+        evaluate_blocks(eval_in, b_loc, eb, s0);
         a_loc.clear();
         b_loc.clear();
 
@@ -154,60 +177,23 @@ FtRunResult ft_multistep_multiply(const BigInt& a, const BigInt& b,
 
         const Group column =
             Group::strided(static_cast<int>(col), height, wide);
-        std::vector<BigInt> child =
-            dist_convolve(rank, tplan, shape, column, uwide, std::move(a_new),
-                          std::move(b_new), block, dfs, 1);
+        const CoeffBlock child =
+            dist_convolve(rank, tplan, shape, strides, column, uwide,
+                          std::move(a_new), std::move(b_new), block, dfs, 1);
         assert(child.size() == uwide * rc);
 
         // Backward exchange with substitution for dead rows' result shares.
         rank.phase("xbwd-fused");
-        const auto pieces = exchange_backward_substituted(rank, loss, row, col,
-                                                          std::move(child));
+        exchange_backward_substituted(rank, loss, row, col, child);
 
-        // On-the-fly multivariate interpolation from the surviving columns.
         rank.phase("interp-fused");
-        std::vector<MultiPoint> used_points;
-        for (std::size_t c : loss.used) used_points.push_back(points[c]);
-        const Matrix<BigInt> eval_out = multivariate_eval_matrix(
-            used_points, static_cast<std::size_t>(npts),
-            static_cast<std::size_t>(l));
-        InterpOperator op;
-        try {
-            op = InterpOperator::from_rational(
-                inverse(eval_out.cast<BigRational>()));
-        } catch (const SingularMatrixError&) {
-            throw UnrecoverableFault(
-                "ft_multistep", "interp-fused", dead_ranks,
-                "surviving multipoints do not determine the product "
-                "(singular fused interpolation system)");
-        }
-
-        const auto uwide_data = static_cast<std::size_t>(wide_data);
         interpolate_roles(rank, loss, row, col, [&](std::size_t role) {
-            const auto children = gather_role(rank, loss, row, col, role,
-                                              pieces, rc, "ft_multistep");
-            std::vector<BigInt> coeffs(uwide_data * rc);
-            op.apply_blocks(children, coeffs, rc);
-
-            // Overlap-add: coefficient block with multivariate exponents
-            // (e_1..e_l) — block index sum e_t (2k-1)^(l-t) — lands at digit
-            // offset sum e_t k^(l-t) * block, i.e. local offset in s0 units.
-            std::vector<BigInt> out(2 * N / static_cast<std::size_t>(world));
-            for (std::size_t i = 0; i < uwide_data; ++i) {
-                std::size_t rem = i;
-                std::size_t offset_units = 0;  // multiples of block
-                std::size_t kpow = 1;
-                for (int t = 0; t < l; ++t) {
-                    offset_units += (rem % static_cast<std::size_t>(npts)) * kpow;
-                    rem /= static_cast<std::size_t>(npts);
-                    kpow *= static_cast<std::size_t>(k);
-                }
-                const std::size_t local_off = offset_units * s0;
-                for (std::size_t t = 0; t < rc; ++t) {
-                    out[local_off + t] += coeffs[i * rc + t];
-                }
-            }
-            slices[row * uwide + role] = std::move(out);
+            const CoeffBlock children =
+                gather_role(rank, loss, row, col, role, child, rc);
+            CoeffBlock coeffs(uwide_data * rc, strides.product);
+            apply_blocks(op, children, coeffs, rc);
+            slices[row * uwide + role] = fold_blocks(
+                coeffs, offsets, rc, 2 * N / static_cast<std::size_t>(world));
         });
     });
     finish_run(result, machine, slices, a, b);

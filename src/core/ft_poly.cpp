@@ -78,9 +78,12 @@ FtRunResult ft_poly_multiply(const BigInt& a, const BigInt& b,
 
     const ToomPlan tplan =
         ToomPlan::make(k, static_cast<std::size_t>(f));
+    // On-the-fly interpolation from the surviving points (Section 4.2).
+    const InterpOperator op = tplan.interpolation_for(loss.used);
+    const BlockStrides strides = block_strides(shape, tplan, &op);
     Machine machine(world, plan);
     arm_transport(machine, cfg.base);
-    std::vector<std::vector<BigInt>> slices(static_cast<std::size_t>(world));
+    std::vector<CoeffBlock> slices(static_cast<std::size_t>(world));
 
     const std::size_t N = shape.total_digits;
     const auto unpts = static_cast<std::size_t>(npts);
@@ -96,14 +99,17 @@ FtRunResult ft_poly_multiply(const BigInt& a, const BigInt& b,
         const bool col_doomed = doomed.count(static_cast<int>(col)) != 0;
 
         rank.phase("split");
-        std::vector<BigInt> a_loc = local_input_digits(a, shape, world, rank.id());
-        std::vector<BigInt> b_loc = local_input_digits(b, shape, world, rank.id());
+        CoeffBlock a_loc =
+            local_input_digits(a, shape, world, rank.id(), strides.operand);
+        CoeffBlock b_loc =
+            local_input_digits(b, shape, world, rank.id(), strides.operand);
         const Group g = Group::strided(0, world);
 
         rank.phase("eval-L0");
-        std::vector<BigInt> ea(uwide * s0), eb(uwide * s0);
-        tplan.evaluate_blocks(a_loc, ea, s0);  // all 2k-1+f rows
-        tplan.evaluate_blocks(b_loc, eb, s0);
+        CoeffBlock ea(uwide * s0, strides.operand);
+        CoeffBlock eb(uwide * s0, strides.operand);
+        evaluate_blocks(tplan.eval_matrix(), a_loc, ea, s0);  // all 2k-1+f rows
+        evaluate_blocks(tplan.eval_matrix(), b_loc, eb, s0);
         a_loc.clear();
         b_loc.clear();
 
@@ -119,25 +125,22 @@ FtRunResult ft_poly_multiply(const BigInt& a, const BigInt& b,
         }
         const Group column =
             Group::strided(static_cast<int>(col), height, npts_wide);
-        std::vector<BigInt> child = dist_convolve(
-            rank, tplan, shape, column, uwide, std::move(a_new),
+        const CoeffBlock child = dist_convolve(
+            rank, tplan, shape, strides, column, uwide, std::move(a_new),
             std::move(b_new), N / static_cast<std::size_t>(k), dfs, 1);
         assert(child.size() == uwide * rc);
 
         // Backward exchange with substitution: pieces for dead row peers go
         // to the designated substitute (the replacement processor).
         rank.phase("xbwd-L0");
-        const auto pieces = exchange_backward_substituted(rank, loss, row, col,
-                                                          std::move(child));
+        exchange_backward_substituted(rank, loss, row, col, child);
 
         rank.phase("interp-L0");
-        // On-the-fly interpolation from the surviving points (Section 4.2).
-        const InterpOperator op = tplan.interpolation_for(loss.used);
         interpolate_roles(rank, loss, row, col, [&](std::size_t role) {
-            const auto children =
-                gather_role(rank, loss, row, col, role, pieces, rc, "ft_poly");
-            std::vector<BigInt> coeffs(unpts * rc);
-            op.apply_blocks(children, coeffs, rc);
+            const CoeffBlock children =
+                gather_role(rank, loss, row, col, role, child, rc);
+            CoeffBlock coeffs(unpts * rc, strides.product);
+            apply_blocks(op, children, coeffs, rc);
             slices[row * uwide + role] = fold_blocks_local(
                 coeffs, unpts, rc, s0, 2 * N / static_cast<std::size_t>(world));
         });

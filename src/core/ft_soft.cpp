@@ -100,9 +100,10 @@ FtSoftResult ft_soft_multiply(const BigInt& a, const BigInt& b,
     if (a.is_zero() || b.is_zero()) return result;
 
     const ToomPlan tplan = ToomPlan::make(k);
+    const BlockStrides strides = block_strides(shape, tplan);
     Machine machine(world);
     arm_transport(machine, cfg.base);
-    std::vector<std::vector<BigInt>> slices(static_cast<std::size_t>(P));
+    std::vector<CoeffBlock> slices(static_cast<std::size_t>(P));
     std::atomic<int> detected{0};
     std::atomic<int> corrected{0};
     const auto unpts = static_cast<std::size_t>(npts);
@@ -238,8 +239,10 @@ FtSoftResult ft_soft_multiply(const BigInt& a, const BigInt& b,
         }
 
         rank.phase("split");
-        std::vector<BigInt> a_loc = local_input_digits(a, shape, P, rank.id());
-        std::vector<BigInt> b_loc = local_input_digits(b, shape, P, rank.id());
+        CoeffBlock a_loc =
+            local_input_digits(a, shape, P, rank.id(), strides.operand);
+        CoeffBlock b_loc =
+            local_input_digits(b, shape, P, rank.id(), strides.operand);
 
         // --- evaluation boundary ---
         rank.phase("encode-input");
@@ -251,7 +254,7 @@ FtSoftResult ft_soft_multiply(const BigInt& a, const BigInt& b,
             corrupt(state, rank.id(), 1);
         }
         verify_and_correct(rank, column, kEvalPhase, 820, state, none);
-        unpack_pair(std::move(state), a_loc, b_loc);
+        unpack_pair(state, a_loc, b_loc);
         state.clear();
 
         // --- forward sweep ---
@@ -269,9 +272,10 @@ FtSoftResult ft_soft_multiply(const BigInt& a, const BigInt& b,
             rank.phase("fwd-L" + lvl);
             const std::size_t m = g.size();
             const std::size_t s = len / static_cast<std::size_t>(k) / m;
-            std::vector<BigInt> ea(unpts * s), eb(unpts * s);
-            tplan.evaluate_blocks(a_loc, ea, s);
-            tplan.evaluate_blocks(b_loc, eb, s);
+            CoeffBlock ea(unpts * s, strides.operand);
+            CoeffBlock eb(unpts * s, strides.operand);
+            evaluate_blocks(tplan.eval_matrix(), a_loc, ea, s);
+            evaluate_blocks(tplan.eval_matrix(), b_loc, eb, s);
             std::tie(a_loc, b_loc) = exchange_forward_pair(
                 rank, g, unpts, bs, std::move(ea), std::move(eb),
                 100 + lv * 8, 101 + lv * 8);
@@ -290,10 +294,9 @@ FtSoftResult ft_soft_multiply(const BigInt& a, const BigInt& b,
             corrupt(state, rank.id(), 2);
         }
         verify_and_correct(rank, column, kLeafPhase, 860, state, none);
-        unpack_pair(std::move(state), a_loc, b_loc);
+        unpack_pair(state, a_loc, b_loc);
         state.clear();
-        std::vector<BigInt> child =
-            leaf_multiply(tplan, std::move(a_loc), std::move(b_loc));
+        CoeffBlock child = leaf_multiply(tplan, a_loc, b_loc, strides.product);
 
         // --- backward sweep ---
         for (int lv = bfs - 1; lv >= 0; --lv) {
@@ -303,23 +306,26 @@ FtSoftResult ft_soft_multiply(const BigInt& a, const BigInt& b,
             const std::size_t s = L.len / static_cast<std::size_t>(k) / m;
             const std::size_t rc = 2 * s;
             rank.phase("xbwd-L" + lvl);
-            std::vector<BigInt> children = exchange_backward(
+            CoeffBlock children = exchange_backward(
                 rank, L.g, unpts, L.bs, std::move(child), 102 + lv * 8);
 
             if (lv == 0) {
                 rank.phase("encode-children");
-                encode_column(rank, column, children, 880);
+                state = to_bigints(children);
+                encode_column(rank, column, state, 880);
                 rank.phase(kInterpPhase);
                 if (plan.corrupts_at(kInterpPhase, rank.id())) {
-                    corrupt(children, rank.id(), 3);
+                    corrupt(state, rank.id(), 3);
                 }
-                verify_and_correct(rank, column, kInterpPhase, 900, children,
+                verify_and_correct(rank, column, kInterpPhase, 900, state,
                                    none);
+                children = from_bigints(state, children.stride());
+                state.clear();
             } else {
                 rank.phase("interp-L" + lvl);
             }
-            std::vector<BigInt> coeffs(unpts * rc);
-            tplan.interpolation().apply_blocks(children, coeffs, rc);
+            CoeffBlock coeffs(unpts * rc, strides.product);
+            apply_blocks(tplan.interpolation(), children, coeffs, rc);
             child = fold_blocks_local(coeffs, unpts, rc, s, 2 * L.len / m);
         }
         slices[static_cast<std::size_t>(rank.id())] = std::move(child);

@@ -1,8 +1,6 @@
 #include "core/layout.hpp"
 
 #include <cassert>
-#include <iterator>
-#include <span>
 #include <stdexcept>
 
 namespace ftmul {
@@ -50,78 +48,21 @@ Group column_subgroup(const Group& g, std::size_t npts, std::size_t col) {
     return out;
 }
 
-namespace {
-
-/// This rank's slice of block @p i: a view straight into the evaluation
-/// buffer — slices are serialized from here, never staged into a copy.
-std::span<const BigInt> block_slice(const std::vector<BigInt>& eval_local,
-                                    std::size_t i, std::size_t s) {
-    return {eval_local.data() + i * s, s};
+PayloadBuf frame_coeffs(const CoeffBlock& block, const CoeffRuns& pick) {
+    PayloadBuf buf = MsgPool::instance().acquire(framed_words(block, pick));
+    encode_frame(block, pick, buf.storage());
+    return buf;
 }
 
-/// Interleave the npts received row pieces into the new block-cyclic
-/// layout: ascending global positions alternate bs-chunks by source column.
-std::vector<BigInt> interleave(std::vector<std::vector<BigInt>>& pieces,
-                               std::size_t npts, std::size_t bs,
-                               std::size_t s) {
-    std::vector<BigInt> out;
-    out.reserve(npts * s);
-    const std::size_t chunks = s / bs;
-    for (std::size_t q = 0; q < chunks; ++q) {
-        for (std::size_t c2 = 0; c2 < npts; ++c2) {
-            for (std::size_t t = 0; t < bs; ++t) {
-                out.push_back(std::move(pieces[c2][q * bs + t]));
-            }
-        }
-    }
-    return out;
+void recv_coeffs(Rank& rank, int src, int tag, CoeffBlock& out,
+                 const CoeffRuns& pick) {
+    const PayloadBuf buf = rank.recv_buf(src, tag);
+    decode_frame(buf.words(), out, pick);
 }
 
-}  // namespace
-
-std::vector<BigInt> exchange_forward(Rank& rank, const Group& g,
-                                     std::size_t npts, std::size_t bs,
-                                     std::vector<BigInt> eval_local, int tag) {
-    const std::size_t m = g.size();
-    assert(m % npts == 0);
-    if (eval_local.size() % npts != 0) {
-        throw std::invalid_argument("exchange_forward: bad local size");
-    }
-    const std::size_t s = eval_local.size() / npts;
-    assert(s % bs == 0);
-
-    const std::size_t me = g.index_of(rank.id());
-    const std::size_t row = me / npts;
-    const std::size_t col = me % npts;
-
-    // Ship my slice of block i to the row peer owning column i, serialized
-    // directly out of the evaluation buffer.
-    for (std::size_t i = 0; i < npts; ++i) {
-        if (i == col) continue;
-        rank.send_bigints(g.members[row * npts + i], tag,
-                          block_slice(eval_local, i, s));
-    }
-    std::vector<std::vector<BigInt>> pieces(npts);
-    pieces[col].assign(
-        std::make_move_iterator(eval_local.begin() +
-                                static_cast<std::ptrdiff_t>(col * s)),
-        std::make_move_iterator(eval_local.begin() +
-                                static_cast<std::ptrdiff_t>((col + 1) * s)));
-    for (std::size_t c2 = 0; c2 < npts; ++c2) {
-        if (c2 == col) continue;
-        pieces[c2] = rank.recv_bigints(g.members[row * npts + c2], tag);
-        if (pieces[c2].size() != s) {
-            throw std::runtime_error("exchange_forward: piece size mismatch");
-        }
-    }
-    rank.add_latency(npts - 1);
-    return interleave(pieces, npts, bs, s);
-}
-
-std::pair<std::vector<BigInt>, std::vector<BigInt>> exchange_forward_pair(
+std::pair<CoeffBlock, CoeffBlock> exchange_forward_pair(
     Rank& rank, const Group& g, std::size_t npts, std::size_t bs,
-    std::vector<BigInt> a_local, std::vector<BigInt> b_local, int tag_a,
-    int tag_b) {
+    CoeffBlock a_local, CoeffBlock b_local, int tag_a, int tag_b) {
     const std::size_t m = g.size();
     assert(m % npts == 0);
     if (a_local.size() % npts != 0 || b_local.size() % npts != 0) {
@@ -129,52 +70,45 @@ std::pair<std::vector<BigInt>, std::vector<BigInt>> exchange_forward_pair(
     }
     const std::size_t sa = a_local.size() / npts;
     const std::size_t sb = b_local.size() / npts;
-    assert(sa % bs == 0 && sb % bs == 0);
+    if (sa % bs != 0 || sb % bs != 0) {
+        throw std::invalid_argument("exchange_forward_pair: bad local size");
+    }
 
     const std::size_t me = g.index_of(rank.id());
     const std::size_t row = me / npts;
     const std::size_t col = me % npts;
 
-    // One batched delivery per row peer carrying both operands' slices.
+    // One batched delivery per row peer carrying both operands' slices,
+    // framed straight out of the evaluation blocks.
     for (std::size_t i = 0; i < npts; ++i) {
         if (i == col) continue;
-        const std::pair<int, std::span<const BigInt>> items[] = {
-            {tag_a, block_slice(a_local, i, sa)},
-            {tag_b, block_slice(b_local, i, sb)},
-        };
-        rank.send_bigints_batch(g.members[row * npts + i], items);
+        std::vector<TaggedPayload> msgs;
+        msgs.push_back({tag_a, frame_coeffs(a_local, CoeffRuns::range(i * sa, sa))});
+        msgs.push_back({tag_b, frame_coeffs(b_local, CoeffRuns::range(i * sb, sb))});
+        rank.send_batch(g.members[row * npts + i], std::move(msgs));
     }
-    std::vector<std::vector<BigInt>> pieces_a(npts);
-    std::vector<std::vector<BigInt>> pieces_b(npts);
-    pieces_a[col].assign(
-        std::make_move_iterator(a_local.begin() +
-                                static_cast<std::ptrdiff_t>(col * sa)),
-        std::make_move_iterator(a_local.begin() +
-                                static_cast<std::ptrdiff_t>((col + 1) * sa)));
-    pieces_b[col].assign(
-        std::make_move_iterator(b_local.begin() +
-                                static_cast<std::ptrdiff_t>(col * sb)),
-        std::make_move_iterator(b_local.begin() +
-                                static_cast<std::ptrdiff_t>((col + 1) * sb)));
+    // The new layout interleaves the row pieces: ascending positions
+    // alternate bs-chunks by source column, so piece c2 lands in runs of bs
+    // coefficients npts * bs apart starting at c2 * bs.
+    const auto piece = [&](std::size_t c2, std::size_t s) {
+        return CoeffRuns{c2 * bs, s, bs, npts * bs};
+    };
+    CoeffBlock a_new(npts * sa, a_local.stride());
+    CoeffBlock b_new(npts * sb, b_local.stride());
+    copy_coeffs(a_local, CoeffRuns::range(col * sa, sa), a_new, piece(col, sa));
+    copy_coeffs(b_local, CoeffRuns::range(col * sb, sb), b_new, piece(col, sb));
     for (std::size_t c2 = 0; c2 < npts; ++c2) {
         if (c2 == col) continue;
         const int peer = g.members[row * npts + c2];
-        pieces_a[c2] = rank.recv_bigints(peer, tag_a);
-        pieces_b[c2] = rank.recv_bigints(peer, tag_b);
-        if (pieces_a[c2].size() != sa || pieces_b[c2].size() != sb) {
-            throw std::runtime_error(
-                "exchange_forward_pair: piece size mismatch");
-        }
+        recv_coeffs(rank, peer, tag_a, a_new, piece(c2, sa));
+        recv_coeffs(rank, peer, tag_b, b_new, piece(c2, sb));
     }
     rank.add_latency(2 * (npts - 1));
-    return {interleave(pieces_a, npts, bs, sa),
-            interleave(pieces_b, npts, bs, sb)};
+    return {std::move(a_new), std::move(b_new)};
 }
 
-std::vector<BigInt> exchange_backward(Rank& rank, const Group& g,
-                                      std::size_t npts, std::size_t bs,
-                                      std::vector<BigInt> child_local,
-                                      int tag) {
+CoeffBlock exchange_backward(Rank& rank, const Group& g, std::size_t npts,
+                             std::size_t bs, CoeffBlock child_local, int tag) {
     const std::size_t m = g.size();
     assert(m % npts == 0);
     const std::size_t bs_new = bs * npts;
@@ -188,39 +122,25 @@ std::vector<BigInt> exchange_backward(Rank& rank, const Group& g,
     const std::size_t row = me / npts;
     const std::size_t col = me % npts;
 
-    // De-interleave my new-layout slice into the old-layout pieces per row
-    // peer: within each bs_new superchunk, the c2-th bs-chunk belongs to the
-    // peer at column c2.
-    std::vector<std::vector<BigInt>> pieces(npts);
-    for (auto& p : pieces) p.reserve(piece_len);
-    const std::size_t superchunks = sc / bs_new;
-    for (std::size_t q = 0; q < superchunks; ++q) {
-        for (std::size_t c2 = 0; c2 < npts; ++c2) {
-            for (std::size_t t = 0; t < bs; ++t) {
-                pieces[c2].push_back(
-                    std::move(child_local[q * bs_new + c2 * bs + t]));
-            }
-        }
-    }
+    // The old-layout piece for the row peer at column c2: within each bs_new
+    // superchunk of my new-layout slice, the c2-th bs-chunk.
+    const auto piece = [&](std::size_t c2) {
+        return CoeffRuns{c2 * bs, piece_len, bs, bs_new};
+    };
     for (std::size_t c2 = 0; c2 < npts; ++c2) {
         if (c2 == col) continue;
-        rank.send_bigints(g.members[row * npts + c2], tag, pieces[c2]);
+        rank.send_buf(g.members[row * npts + c2], tag,
+                      frame_coeffs(child_local, piece(c2)));
     }
 
     // Receive my old-layout slice of every column's child result.
-    std::vector<BigInt> out;
-    out.reserve(sc);
+    CoeffBlock out(sc, child_local.stride());
     for (std::size_t i = 0; i < npts; ++i) {
+        const CoeffRuns dst = CoeffRuns::range(i * piece_len, piece_len);
         if (i == col) {
-            out.insert(out.end(), std::make_move_iterator(pieces[col].begin()),
-                       std::make_move_iterator(pieces[col].end()));
+            copy_coeffs(child_local, piece(col), out, dst);
         } else {
-            auto got = rank.recv_bigints(g.members[row * npts + i], tag);
-            if (got.size() != piece_len) {
-                throw std::runtime_error("exchange_backward: piece mismatch");
-            }
-            out.insert(out.end(), std::make_move_iterator(got.begin()),
-                       std::make_move_iterator(got.end()));
+            recv_coeffs(rank, g.members[row * npts + i], tag, out, dst);
         }
     }
     rank.add_latency(npts - 1);

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "bigint/bigint.hpp"
+#include "core/coeff_block.hpp"
 #include "runtime/group.hpp"
 #include "runtime/machine.hpp"
 
@@ -38,35 +39,40 @@ std::vector<BigInt> slice_of(const std::vector<BigInt>& full, std::size_t bs,
 std::vector<BigInt> unslice(const std::vector<std::vector<BigInt>>& slices,
                             std::size_t bs);
 
-/// Forward BFS exchange. The caller evaluated locally: @p eval_local holds
-/// its slices of the npts evaluated blocks, concatenated (npts * s values,
-/// s = per-block slice length, a multiple of bs). Group position j =
-/// row * npts + col. Sends slice of block i to the row peer in column i and
-/// assembles the received row pieces into this rank's slice of its *own
-/// column's* block under the new layout (bs' = bs * npts over the column
-/// subgroup). Returns that new slice (npts * s values).
-std::vector<BigInt> exchange_forward(Rank& rank, const Group& g,
-                                     std::size_t npts, std::size_t bs,
-                                     std::vector<BigInt> eval_local, int tag);
+/// Frame the picked coefficients of @p block in the BigInt wire format
+/// ([count, (sign, limb count, magnitude)...], byte-identical to
+/// Rank::frame_bigints of their values) into a pooled payload, for send_buf
+/// and send_batch. Charges nothing.
+PayloadBuf frame_coeffs(const CoeffBlock& block, const CoeffRuns& pick);
 
-/// Both operands' forward exchanges fused at the transport: the a- and
-/// b-slices for each row peer travel in one batched mailbox delivery
-/// (distinct tags keep them separable). Cost charges are exactly those of
-/// exchange_forward(a, tag_a) followed by exchange_forward(b, tag_b) — one
-/// message per slice per peer and 2*(npts-1) latency rounds.
-std::pair<std::vector<BigInt>, std::vector<BigInt>> exchange_forward_pair(
+/// Receive one frame from (@p src, @p tag) and decode it into the picked
+/// coefficients of @p out; throws std::runtime_error when its count differs
+/// from pick.count.
+void recv_coeffs(Rank& rank, int src, int tag, CoeffBlock& out,
+                 const CoeffRuns& pick);
+
+/// Both operands' forward BFS exchanges, fused at the transport. The caller
+/// evaluated locally: @p a_local / @p b_local hold its slices of the npts
+/// evaluated blocks, concatenated (npts * s coefficients, s = per-block
+/// slice length, a multiple of bs). Group position j = row * npts + col.
+/// The slices of block i go to the row peer in column i — the a- and
+/// b-slices in one batched mailbox delivery, distinct tags keeping them
+/// separable, each charged as its own message — and the received row pieces
+/// are interleaved into this rank's slice of its *own column's* blocks under
+/// the new layout (bs' = bs * npts over the column subgroup): npts * s
+/// coefficients each, at the inputs' strides. Charges one message per slice
+/// per peer and 2*(npts-1) latency rounds.
+std::pair<CoeffBlock, CoeffBlock> exchange_forward_pair(
     Rank& rank, const Group& g, std::size_t npts, std::size_t bs,
-    std::vector<BigInt> a_local, std::vector<BigInt> b_local, int tag_a,
-    int tag_b);
+    CoeffBlock a_local, CoeffBlock b_local, int tag_a, int tag_b);
 
-/// Inverse of exchange_forward for the way back up: @p child_local is this
-/// rank's new-layout slice of its column's child result (length sc, a
+/// Inverse of the forward exchange for the way back up: @p child_local is
+/// this rank's new-layout slice of its column's child result (length sc, a
 /// multiple of bs * npts). Scatters the bs-chunks back across the row and
 /// returns the old-layout slices of all npts child results, concatenated
-/// (npts blocks of sc / npts values each).
-std::vector<BigInt> exchange_backward(Rank& rank, const Group& g,
-                                      std::size_t npts, std::size_t bs,
-                                      std::vector<BigInt> child_local, int tag);
+/// (npts blocks of sc / npts coefficients each, at the child's stride).
+CoeffBlock exchange_backward(Rank& rank, const Group& g, std::size_t npts,
+                             std::size_t bs, CoeffBlock child_local, int tag);
 
 /// The column subgroup this rank recurses into after a forward exchange:
 /// members {g[r*npts + col] : r}, ordered by row.

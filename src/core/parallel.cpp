@@ -6,10 +6,11 @@
 #include <stdexcept>
 #include <string>
 
+#include "bigint/ops_counter.hpp"
 #include "core/ft_common.hpp"
+#include "core/kronecker.hpp"
 #include "core/layout.hpp"
 #include "runtime/metrics.hpp"
-#include "toom/kronecker.hpp"
 #include "toom/sequential.hpp"
 
 namespace ftmul {
@@ -31,47 +32,60 @@ std::uint64_t words_estimate(const ResolvedShape& shape, std::size_t digits) {
 
 }  // namespace
 
-std::vector<BigInt> local_input_digits(const BigInt& v,
-                                       const ResolvedShape& shape, int nranks,
-                                       int my_index) {
-    std::vector<BigInt> out;
-    const auto pos =
-        owned_positions(shape.total_digits, 1,
-                        static_cast<std::size_t>(nranks),
-                        static_cast<std::size_t>(my_index));
-    out.reserve(pos.size());
-    const BigInt mag = v.abs();
-    for (std::size_t t : pos) {
-        out.push_back(mag.extract_bits(t * shape.digit_bits, shape.digit_bits));
+CoeffBlock local_input_digits(const BigInt& v, const ResolvedShape& shape,
+                              int nranks, int my_index, std::size_t stride) {
+    const std::size_t db = shape.digit_bits;
+    if (db + 1 > 64 * stride) {
+        throw std::overflow_error(
+            "local_input_digits: a digit exceeds its block stride");
     }
+    const auto p = static_cast<std::size_t>(nranks);
+    const auto j = static_cast<std::size_t>(my_index);
+    CoeffBlock out(shape.total_digits / p, stride);
+    // Digit i of this slice is bits [t * db, (t + 1) * db) of |v|,
+    // t = i * p + j: a shifted copy of at most ceil(db / 64) + 1 limbs.
+    const detail::Limbs& mag = v.magnitude();
+    const std::size_t dl = (db + 63) / 64;
+    std::size_t i = 0;
+    for (; i < out.size(); ++i) {
+        const std::size_t at = (i * p + j) * db;
+        const std::size_t w = at / 64;
+        if (w >= mag.size()) break;  // this and every later digit is zero
+        const unsigned sh = static_cast<unsigned>(at % 64);
+        std::uint64_t* d = out.coeff(i);
+        for (std::size_t l = 0; l < dl && w + l < mag.size(); ++l) {
+            const std::uint64_t hi = w + l + 1 < mag.size() ? mag[w + l + 1] : 0;
+            d[l] = sh == 0 ? mag[w + l] : (mag[w + l] >> sh) | (hi << (64 - sh));
+        }
+        if (db % 64 != 0) d[dl - 1] &= ~std::uint64_t{0} >> (64 - db % 64);
+    }
+    OpsCounter::add(i * dl);
     return out;
 }
 
-std::vector<BigInt> leaf_multiply(const ToomPlan& plan,
-                                  std::vector<BigInt> a_loc,
-                                  std::vector<BigInt> b_loc) {
+CoeffBlock leaf_multiply(const ToomPlan& plan, const CoeffBlock& a_loc,
+                         const CoeffBlock& b_loc, std::size_t stride) {
     // The leaf result must be the *carry-free* coefficient vector of the
     // product polynomial: ancestor interpolations and overlap-adds act
     // digit-wise, and their exact divisions hold only as polynomial
-    // identities. Kronecker substitution packs each (signed) digit vector
+    // identities. Kronecker substitution packs each (signed) digit block
     // into one integer, one sequential Toom-Cook product carries the whole
-    // convolution, and a balanced unpack recovers it; pad to exactly twice
-    // the input length.
-    const std::size_t len = a_loc.size();
-    std::vector<BigInt> conv = kronecker_convolve(
-        a_loc, b_loc, [&plan](const BigInt& x, const BigInt& y) {
-            return toom_multiply(x, y, plan);
-        });
-    assert(conv.size() == 2 * len - 1);
-    conv.resize(2 * len);
+    // convolution, and a balanced unpack writes it into the result block,
+    // padded to exactly twice the input length.
+    assert(a_loc.size() == b_loc.size());
+    CoeffBlock conv(2 * a_loc.size(), stride);
+    kronecker_convolve(a_loc, b_loc, conv,
+                       [&plan](const BigInt& x, const BigInt& y) {
+                           return toom_multiply(x, y, plan);
+                       });
     return conv;
 }
 
-std::vector<BigInt> dist_convolve(Rank& rank, const ToomPlan& plan,
-                                  const ResolvedShape& shape, const Group& g,
-                                  std::size_t bs, std::vector<BigInt> a_loc,
-                                  std::vector<BigInt> b_loc, std::size_t len,
-                                  int dfs_left, int level) {
+CoeffBlock dist_convolve(Rank& rank, const ToomPlan& plan,
+                         const ResolvedShape& shape,
+                         const BlockStrides& strides, const Group& g,
+                         std::size_t bs, CoeffBlock a_loc, CoeffBlock b_loc,
+                         std::size_t len, int dfs_left, int level) {
     // Canonical (optimal) schedule: all DFS steps first, then all BFS steps.
     int bfs = 0;
     for (std::size_t q = g.size(); q > 1;
@@ -80,23 +94,23 @@ std::vector<BigInt> dist_convolve(Rank& rank, const ToomPlan& plan,
     }
     std::string steps(static_cast<std::size_t>(dfs_left), 'D');
     steps.append(static_cast<std::size_t>(bfs), 'B');
-    return dist_convolve_steps(rank, plan, shape, g, bs, std::move(a_loc),
-                               std::move(b_loc), len, steps, level);
+    return dist_convolve_steps(rank, plan, shape, strides, g, bs,
+                               std::move(a_loc), std::move(b_loc), len, steps,
+                               level);
 }
 
-std::vector<BigInt> dist_convolve_steps(Rank& rank, const ToomPlan& plan,
-                                        const ResolvedShape& shape,
-                                        const Group& g, std::size_t bs,
-                                        std::vector<BigInt> a_loc,
-                                        std::vector<BigInt> b_loc,
-                                        std::size_t len,
-                                        std::string_view steps, int level) {
+CoeffBlock dist_convolve_steps(Rank& rank, const ToomPlan& plan,
+                               const ResolvedShape& shape,
+                               const BlockStrides& strides, const Group& g,
+                               std::size_t bs, CoeffBlock a_loc,
+                               CoeffBlock b_loc, std::size_t len,
+                               std::string_view steps, int level) {
     const std::size_t m = g.size();
     if (steps.empty()) {
         assert(m == 1 && "schedule must reach a singleton group");
         rank.phase("leaf-mul");
         rank.note_memory(words_estimate(shape, 4 * a_loc.size()));
-        return leaf_multiply(plan, std::move(a_loc), std::move(b_loc));
+        return leaf_multiply(plan, a_loc, b_loc, strides.product);
     }
     const char step = steps.front();
     const std::string_view rest = steps.substr(1);
@@ -108,34 +122,35 @@ std::vector<BigInt> dist_convolve_steps(Rank& rank, const ToomPlan& plan,
     const std::size_t s = len / k / m;      // per-block local input length
     const std::size_t rc = 2 * s;           // per-block local result length
     const std::size_t out_len = 2 * len / m;
+    const Matrix<std::int64_t>& eval = plan.eval_matrix();
+    const InterpOperator& interp = plan.interpolation();
 
     if (step == 'D') {
         // DFS step (Section 3): the 2k-1 sub-problems are generated and
         // solved one at a time by the whole group, with no communication.
         // The child results stream into the interpolation accumulator so
         // only one child is live at any moment (Lemma 3.1's footprint).
-        std::vector<BigInt> acc(npts * rc);
-        const auto& interp = plan.interpolation();
+        CoeffBlock acc(npts * rc, strides.product);
         for (std::size_t i = 0; i < npts; ++i) {
             rank.phase("eval-L" + lvl);
             const std::size_t row_idx[1] = {i};
-            std::vector<BigInt> ea(s), eb(s);
-            plan.evaluate_blocks(a_loc, ea, s, row_idx);
-            plan.evaluate_blocks(b_loc, eb, s, row_idx);
+            CoeffBlock ea(s, strides.operand), eb(s, strides.operand);
+            evaluate_blocks(eval, a_loc, ea, s, row_idx);
+            evaluate_blocks(eval, b_loc, eb, s, row_idx);
             rank.note_memory(words_estimate(
                 shape, a_loc.size() + b_loc.size() + acc.size() + 2 * s));
 
-            auto child =
-                dist_convolve_steps(rank, plan, shape, g, bs, std::move(ea),
-                                    std::move(eb), len / k, rest, level + 1);
+            const CoeffBlock child = dist_convolve_steps(
+                rank, plan, shape, strides, g, bs, std::move(ea),
+                std::move(eb), len / k, rest, level + 1);
             assert(child.size() == rc);
             rank.phase("interp-L" + lvl);
-            interp.accumulate_column(i, child, acc, rc);
+            accumulate_column(interp, i, child, acc, rc);
         }
         a_loc.clear();
         b_loc.clear();
         rank.phase("interp-L" + lvl);
-        interp.finalize_blocks(acc, rc);
+        finalize_blocks(interp, acc, rc);
         return fold_blocks_local(acc, npts, rc, s, out_len);
     }
 
@@ -143,9 +158,9 @@ std::vector<BigInt> dist_convolve_steps(Rank& rank, const ToomPlan& plan,
     // column subgroup, exchange back, interpolate locally.
     const auto rows = base_rows(plan);
     rank.phase("eval-L" + lvl);
-    std::vector<BigInt> ea(npts * s), eb(npts * s);
-    plan.evaluate_blocks(a_loc, ea, s, rows);
-    plan.evaluate_blocks(b_loc, eb, s, rows);
+    CoeffBlock ea(npts * s, strides.operand), eb(npts * s, strides.operand);
+    evaluate_blocks(eval, a_loc, ea, s, rows);
+    evaluate_blocks(eval, b_loc, eb, s, rows);
     rank.note_memory(words_estimate(
         shape, a_loc.size() + b_loc.size() + ea.size() + eb.size()));
     a_loc.clear();
@@ -160,20 +175,19 @@ std::vector<BigInt> dist_convolve_steps(Rank& rank, const ToomPlan& plan,
     assert(step == 'B');
     const std::size_t col = g.index_of(rank.id()) % npts;
     const Group sub = column_subgroup(g, npts, col);
-    std::vector<BigInt> child =
-        dist_convolve_steps(rank, plan, shape, sub, bs * npts,
-                            std::move(a_new), std::move(b_new), len / k, rest,
-                            level + 1);
+    CoeffBlock child = dist_convolve_steps(
+        rank, plan, shape, strides, sub, bs * npts, std::move(a_new),
+        std::move(b_new), len / k, rest, level + 1);
 
     rank.phase("xbwd-L" + lvl);
     assert(child.size() == npts * rc);
-    std::vector<BigInt> children =
+    const CoeffBlock children =
         exchange_backward(rank, g, npts, bs, std::move(child), tag_base + 2);
 
     rank.phase("interp-L" + lvl);
     rank.note_memory(words_estimate(shape, 2 * children.size()));
-    std::vector<BigInt> coeffs(npts * rc);
-    plan.interpolation().apply_blocks(children, coeffs, rc);
+    CoeffBlock coeffs(npts * rc, strides.product);
+    apply_blocks(interp, children, coeffs, rc);
     return fold_blocks_local(coeffs, npts, rc, s, out_len);
 }
 
@@ -223,15 +237,15 @@ ParallelRunResult parallel_toom_multiply(const BigInt& a, const BigInt& b,
     const ToomPlan plan = ToomPlan::make(cfg.k);
     Machine machine(shape.processors);
     arm_transport(machine, cfg);
-    std::vector<std::vector<BigInt>> slices(
-        static_cast<std::size_t>(shape.processors));
+    const BlockStrides strides = block_strides(shape, plan);
+    std::vector<CoeffBlock> slices(static_cast<std::size_t>(shape.processors));
 
     machine.run([&](Rank& rank) {
         rank.phase("split");
-        std::vector<BigInt> a_loc =
-            local_input_digits(a, shape, shape.processors, rank.id());
-        std::vector<BigInt> b_loc =
-            local_input_digits(b, shape, shape.processors, rank.id());
+        CoeffBlock a_loc = local_input_digits(a, shape, shape.processors,
+                                              rank.id(), strides.operand);
+        CoeffBlock b_loc = local_input_digits(b, shape, shape.processors,
+                                              rank.id(), strides.operand);
         // Delay faults: a straggler's slowdown lands on the critical path.
         for (const auto& [r, rounds] : cfg.straggler_delays) {
             if (r == rank.id()) {
@@ -240,7 +254,7 @@ ParallelRunResult parallel_toom_multiply(const BigInt& a, const BigInt& b,
             }
         }
         Group world = Group::strided(0, shape.processors);
-        auto out = dist_convolve_steps(rank, plan, shape, world, 1,
+        auto out = dist_convolve_steps(rank, plan, shape, strides, world, 1,
                                        std::move(a_loc), std::move(b_loc),
                                        shape.total_digits, steps, 0);
         slices[static_cast<std::size_t>(rank.id())] = std::move(out);

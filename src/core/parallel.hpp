@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "bigint/bigint.hpp"
+#include "core/coeff_block.hpp"
 #include "core/config.hpp"
 #include "runtime/group.hpp"
 #include "runtime/machine.hpp"
@@ -43,39 +44,38 @@ namespace core_detail {
 
 /// Internals shared by the FT variants (see also core/ft_common.hpp).
 
-/// This rank's slice of the split digits of |v| (layout bs=1 over P ranks).
-std::vector<BigInt> local_input_digits(const BigInt& v,
-                                       const ResolvedShape& shape, int nranks,
-                                       int my_index);
+/// This rank's slice of the split digits of |v| (layout bs=1 over P ranks),
+/// read straight out of v's magnitude into a block of @p stride limbs.
+CoeffBlock local_input_digits(const BigInt& v, const ResolvedShape& shape,
+                              int nranks, int my_index, std::size_t stride);
 
 /// The recursive distributed convolution; returns this rank's slice of the
-/// result vector. See layout.hpp for the slice invariant. Performs dfs_left
-/// DFS steps followed by BFS steps until the group is singleton (the
-/// optimal order per Ballard et al., cited in Section 3).
-std::vector<BigInt> dist_convolve(Rank& rank, const ToomPlan& plan,
-                                  const ResolvedShape& shape, const Group& g,
-                                  std::size_t bs, std::vector<BigInt> a_loc,
-                                  std::vector<BigInt> b_loc, std::size_t len,
-                                  int dfs_left, int level);
+/// result vector (at strides.product). See layout.hpp for the slice
+/// invariant. Performs dfs_left DFS steps followed by BFS steps until the
+/// group is singleton (the optimal order per Ballard et al., cited in
+/// Section 3).
+CoeffBlock dist_convolve(Rank& rank, const ToomPlan& plan,
+                         const ResolvedShape& shape,
+                         const BlockStrides& strides, const Group& g,
+                         std::size_t bs, CoeffBlock a_loc, CoeffBlock b_loc,
+                         std::size_t len, int dfs_left, int level);
 
 /// Generalized traversal: @p steps spells the remaining schedule, 'D' for a
 /// communication-free DFS step, 'B' for a row-exchange BFS step; the leaf
 /// runs when steps are exhausted (the group must be singleton by then, i.e.
 /// steps must contain exactly log_{2k-1}(|g|) 'B's).
-std::vector<BigInt> dist_convolve_steps(Rank& rank, const ToomPlan& plan,
-                                        const ResolvedShape& shape,
-                                        const Group& g, std::size_t bs,
-                                        std::vector<BigInt> a_loc,
-                                        std::vector<BigInt> b_loc,
-                                        std::size_t len,
-                                        std::string_view steps, int level);
+CoeffBlock dist_convolve_steps(Rank& rank, const ToomPlan& plan,
+                               const ResolvedShape& shape,
+                               const BlockStrides& strides, const Group& g,
+                               std::size_t bs, CoeffBlock a_loc,
+                               CoeffBlock b_loc, std::size_t len,
+                               std::string_view steps, int level);
 
 /// Leaf kernel: exact convolution of the two (signed) digit blocks via one
 /// Kronecker-packed sequential Toom-Cook product (kronecker_convolve),
-/// padded to exactly twice the input length.
-std::vector<BigInt> leaf_multiply(const ToomPlan& plan,
-                                  std::vector<BigInt> a_loc,
-                                  std::vector<BigInt> b_loc);
+/// padded to exactly twice the input length, at @p stride limbs.
+CoeffBlock leaf_multiply(const ToomPlan& plan, const CoeffBlock& a_loc,
+                         const CoeffBlock& b_loc, std::size_t stride);
 
 }  // namespace core_detail
 

@@ -54,9 +54,10 @@ FtRunResult replicated_toom_multiply(const BigInt& a, const BigInt& b,
     if (a.is_zero() || b.is_zero()) return result;
 
     const ToomPlan tplan = ToomPlan::make(cfg.base.k);
+    const BlockStrides strides = block_strides(shape, tplan);
     Machine machine(world, plan);
     arm_transport(machine, cfg.base);
-    std::vector<std::vector<BigInt>> slices(static_cast<std::size_t>(P));
+    std::vector<CoeffBlock> slices(static_cast<std::size_t>(P));
 
     std::set<int> scheduled;
     for (const auto& [phase, rank] : plan.all()) {
@@ -78,12 +79,14 @@ FtRunResult replicated_toom_multiply(const BigInt& a, const BigInt& b,
         }
 
         rank.phase("split");
-        std::vector<BigInt> a_loc = local_input_digits(a, shape, P, local_id);
-        std::vector<BigInt> b_loc = local_input_digits(b, shape, P, local_id);
+        CoeffBlock a_loc =
+            local_input_digits(a, shape, P, local_id, strides.operand);
+        CoeffBlock b_loc =
+            local_input_digits(b, shape, P, local_id, strides.operand);
         Group g = Group::strided(replica * P, P);
-        auto out = dist_convolve(rank, tplan, shape, g, 1, std::move(a_loc),
-                                 std::move(b_loc), shape.total_digits,
-                                 shape.dfs_steps, 0);
+        auto out = dist_convolve(rank, tplan, shape, strides, g, 1,
+                                 std::move(a_loc), std::move(b_loc),
+                                 shape.total_digits, shape.dfs_steps, 0);
         if (replica == winner) {
             slices[static_cast<std::size_t>(local_id)] = std::move(out);
         }

@@ -82,31 +82,4 @@ void InterpOperator::apply_blocks(std::span<const BigInt> in,
     }
 }
 
-void InterpOperator::accumulate_column(std::size_t col,
-                                       std::span<const BigInt> child,
-                                       std::span<BigInt> acc,
-                                       std::size_t block_len) const {
-    assert(col < cols());
-    assert(child.size() == block_len);
-    assert(acc.size() == rows() * block_len);
-    for (std::size_t i = 0; i < rows(); ++i) {
-        const BigInt& c = num_(i, col);
-        if (c.is_zero()) continue;
-        for (std::size_t t = 0; t < block_len; ++t) {
-            add_mul(acc[i * block_len + t], c, child[t]);
-        }
-    }
-}
-
-void InterpOperator::finalize_blocks(std::span<BigInt> acc,
-                                     std::size_t block_len) const {
-    assert(acc.size() == rows() * block_len);
-    for (std::size_t i = 0; i < rows(); ++i) {
-        if (den_[i] == BigInt{1}) continue;
-        for (std::size_t t = 0; t < block_len; ++t) {
-            acc[i * block_len + t].divexact_inplace(den_[i]);
-        }
-    }
-}
-
 }  // namespace ftmul

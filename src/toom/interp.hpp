@@ -40,13 +40,6 @@ public:
     void apply_blocks(std::span<const BigInt> in, std::span<BigInt> out,
                       std::size_t block_len) const;
 
-    /// Streaming form for DFS steps: fold one input block (column) into the
-    /// numerator accumulator (rows() blocks of block_len), then divide once
-    /// with finalize_blocks after every column has been accumulated.
-    void accumulate_column(std::size_t col, std::span<const BigInt> child,
-                           std::span<BigInt> acc, std::size_t block_len) const;
-    void finalize_blocks(std::span<BigInt> acc, std::size_t block_len) const;
-
     /// True when every numerator fits a machine word, enabling the fused
     /// add_scaled kernel (all standard plans qualify).
     bool small_coefficients() const { return small_ok_; }

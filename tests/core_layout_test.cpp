@@ -45,9 +45,10 @@ TEST(Layout, ColumnSubgroup) {
 }
 
 TEST(Layout, ExchangeForwardBackwardInverse) {
-    // 9 ranks in a 3x3 grid; verify that the forward exchange places every
-    // rank's new slice consistently with the block-cyclic law, and the
-    // backward exchange inverts it.
+    // 9 ranks in a 3x3 grid; verify that the fused forward exchange places
+    // every rank's new slices consistently with the block-cyclic law, and
+    // the backward exchange inverts it. The b operand carries the negated
+    // values at a wider stride, so signs and strides travel the wire too.
     const int P = 9;
     const std::size_t npts = 3, bs = 1;
     const std::size_t s = 6;  // per-block slice length
@@ -61,6 +62,10 @@ TEST(Layout, ExchangeForwardBackwardInverse) {
             blocks[i][t] = BigInt{static_cast<std::int64_t>(1000 * i + t)};
         }
     }
+    const auto negated = [](std::vector<BigInt> v) {
+        for (BigInt& x : v) x = -x;
+        return v;
+    };
 
     Machine machine(P);
     machine.run([&](Rank& rank) {
@@ -73,7 +78,9 @@ TEST(Layout, ExchangeForwardBackwardInverse) {
                 eval_local.push_back(blocks[i][t]);
             }
         }
-        auto mine = exchange_forward(rank, g, npts, bs, eval_local, 11);
+        auto [mine_a, mine_b] = exchange_forward_pair(
+            rank, g, npts, bs, from_bigints(eval_local, 1),
+            from_bigints(negated(eval_local), 2), 11, 12);
 
         // Expected: new layout (bs'=3, m'=3 over my column subgroup) of my
         // column's block.
@@ -83,13 +90,19 @@ TEST(Layout, ExchangeForwardBackwardInverse) {
              owned_positions(len_over_k, bs * npts, P / npts, row)) {
             expect.push_back(blocks[col][t]);
         }
-        EXPECT_EQ(mine, expect) << "rank " << rank.id();
+        EXPECT_EQ(to_bigints(mine_a), expect) << "rank " << rank.id();
+        EXPECT_EQ(to_bigints(mine_b), negated(expect)) << "rank " << rank.id();
+        EXPECT_EQ(mine_b.stride(), 2u);
 
         // Backward: pretend each column's child result is simply its block
         // (same length); after the inverse exchange every rank must hold its
         // old-layout slice of all three "child results".
-        auto back = exchange_backward(rank, g, npts, bs, std::move(mine), 12);
-        EXPECT_EQ(back, eval_local) << "rank " << rank.id();
+        auto back = exchange_backward(rank, g, npts, bs, std::move(mine_a), 13);
+        EXPECT_EQ(to_bigints(back), eval_local) << "rank " << rank.id();
+        auto back_b =
+            exchange_backward(rank, g, npts, bs, std::move(mine_b), 14);
+        EXPECT_EQ(to_bigints(back_b), negated(eval_local))
+            << "rank " << rank.id();
     });
 }
 
@@ -97,11 +110,14 @@ TEST(Layout, ExchangeRejectsBadSizes) {
     Machine machine(3);
     machine.run([&](Rank& rank) {
         Group g = Group::strided(0, 3);
-        std::vector<BigInt> bad(4);  // not divisible by npts=3
-        EXPECT_THROW(exchange_forward(rank, g, 3, 1, bad, 13),
+        const CoeffBlock good(3, 1);
+        const CoeffBlock bad(4, 1);  // not divisible by npts=3
+        EXPECT_THROW(exchange_forward_pair(rank, g, 3, 1, bad, good, 13, 14),
                      std::invalid_argument);
-        std::vector<BigInt> bad2(5);  // not divisible by bs*npts=3
-        EXPECT_THROW(exchange_backward(rank, g, 3, 1, bad2, 14),
+        EXPECT_THROW(exchange_forward_pair(rank, g, 3, 1, good, bad, 13, 14),
+                     std::invalid_argument);
+        const CoeffBlock bad2(5, 1);  // not divisible by bs*npts=3
+        EXPECT_THROW(exchange_backward(rank, g, 3, 1, bad2, 15),
                      std::invalid_argument);
     });
 }

@@ -6,7 +6,10 @@
 
 #include "bigint/random.hpp"
 #include "core/ft_common.hpp"
+#include "core/ft_poly.hpp"
+#include "core/kronecker.hpp"
 #include "core/layout.hpp"
+#include "core/replication.hpp"
 #include "toom/digits.hpp"
 #include "toom/lazy.hpp"
 #include "toom/sequential.hpp"
@@ -269,6 +272,16 @@ BigInt horner_product(const std::vector<std::vector<BigInt>>& slices,
     return a.sign() * b.sign() < 0 ? -mag : mag;
 }
 
+/// signed_product of BigInt slices, each converted to a block of the
+/// narrowest stride that holds it.
+BigInt signed_product_of(const std::vector<std::vector<BigInt>>& slices,
+                         std::size_t digit_bits, const BigInt& a,
+                         const BigInt& b) {
+    std::vector<CoeffBlock> blocks;
+    for (const auto& s : slices) blocks.push_back(from_bigints(s));
+    return core_detail::signed_product(blocks, digit_bits, a, b);
+}
+
 std::vector<std::vector<BigInt>> cyclic_slices(const std::vector<BigInt>& full,
                                                std::size_t p) {
     std::vector<std::vector<BigInt>> slices;
@@ -283,7 +296,7 @@ void expect_assembles(const std::vector<BigInt>& full, std::size_t p,
     const auto slices = cyclic_slices(full, p);
     for (const BigInt& a : {BigInt{3}, BigInt{-3}}) {
         for (const BigInt& b : {BigInt{5}, BigInt{-5}}) {
-            EXPECT_EQ(core_detail::signed_product(slices, db, a, b),
+            EXPECT_EQ(signed_product_of(slices, db, a, b),
                       horner_product(slices, db, a, b))
                 << what << " P " << p << " db " << db << " signs "
                 << a.sign() << "," << b.sign();
@@ -304,16 +317,16 @@ TEST(SignedProduct, AssemblesTrueProductUnderEverySign) {
                 (prod.bit_length() / db / p + 1) * p;
             std::vector<BigInt> digits = split_digits(prod, db, len);
             const auto slices = cyclic_slices(digits, p);
-            EXPECT_EQ(core_detail::signed_product(slices, db, a, b), prod);
-            EXPECT_EQ(core_detail::signed_product(slices, db, -a, b), -prod);
-            EXPECT_EQ(core_detail::signed_product(slices, db, a, -b), -prod);
-            EXPECT_EQ(core_detail::signed_product(slices, db, -a, -b), prod);
+            EXPECT_EQ(signed_product_of(slices, db, a, b), prod);
+            EXPECT_EQ(signed_product_of(slices, db, -a, b), -prod);
+            EXPECT_EQ(signed_product_of(slices, db, a, -b), -prod);
+            EXPECT_EQ(signed_product_of(slices, db, -a, -b), prod);
             for (std::size_t t = 0; t + 1 < len; t += 2) {
                 digits[t] += BigInt::power_of_two(db);
                 digits[t + 1] -= BigInt{1};
             }
             EXPECT_EQ(
-                core_detail::signed_product(cyclic_slices(digits, p), db, -a, b),
+                signed_product_of(cyclic_slices(digits, p), db, -a, b),
                 -prod);
             expect_assembles(digits, p, db, "lent");
         }
@@ -346,7 +359,7 @@ TEST(SignedProduct, ZeroAndSingleCoefficient) {
         for (std::size_t db : {32u, 33u, 64u, 128u}) {
             const std::vector<BigInt> zeros(4 * p);
             expect_assembles(zeros, p, db, "zeros");
-            EXPECT_TRUE(core_detail::signed_product(cyclic_slices(zeros, p), db,
+            EXPECT_TRUE(signed_product_of(cyclic_slices(zeros, p), db,
                                                     BigInt{-1}, BigInt{1})
                             .is_zero());
             std::vector<BigInt> one(4 * p);
@@ -372,8 +385,10 @@ protected:
         std::vector<BigInt> want =
             toom_convolve(plan, a, b, shape.base_len);
         want.emplace_back();
-        const std::vector<BigInt> got =
-            core_detail::leaf_multiply(plan, a, b);
+        const std::size_t stride =
+            stride_for_bits(kronecker_signed_slot_bits(a, b));
+        const std::vector<BigInt> got = to_bigints(core_detail::leaf_multiply(
+            plan, from_bigints(a), from_bigints(b), stride));
         ASSERT_EQ(got.size(), 2 * a.size());
         EXPECT_EQ(got, want);
     }
@@ -430,6 +445,62 @@ TEST_P(LeafMultiply, AsymmetricWidths) {
 
 INSTANTIATE_TEST_SUITE_P(Lengths, LeafMultiply,
                          ::testing::Values(1, 2, 3, 7, 36, 630));
+
+// Charge pin: the words, messages and latency rounds of the machine
+// engines, critical and aggregate, plus the peak working set, at the
+// large-mul shape (80,000 bits, P=9, k=2, 32-bit digits) and one schedule
+// with a DFS step. A frame is the [count, (sign, limb count, magnitude)...]
+// serialization of its coefficients, whatever their in-memory layout, so
+// these numbers may only move with a deliberate wire-format change.
+struct Charges {
+    std::uint64_t crit_words, crit_msgs, crit_latency;
+    std::uint64_t agg_words, agg_msgs, agg_latency;
+    std::uint64_t peak;
+};
+
+void expect_charges(const RunStats& s, const Charges& want,
+                    const std::string& what) {
+    EXPECT_EQ(s.critical.words, want.crit_words) << what;
+    EXPECT_EQ(s.critical.msgs, want.crit_msgs) << what;
+    EXPECT_EQ(s.critical.latency, want.crit_latency) << what;
+    EXPECT_EQ(s.aggregate.words, want.agg_words) << what;
+    EXPECT_EQ(s.aggregate.msgs, want.agg_msgs) << what;
+    EXPECT_EQ(s.aggregate.latency, want.agg_latency) << what;
+    EXPECT_EQ(s.peak_memory_words, want.peak) << what;
+}
+
+TEST(ChargePin, WireChargesOfTheLargeMulShape) {
+    Rng rng{80000};
+    const BigInt a = random_bits(rng, 80000);
+    const BigInt b = random_bits(rng, 80000);
+    const BigInt want = a * b;
+    ParallelConfig cfg;
+    cfg.k = 2;
+    cfg.processors = 9;
+    cfg.digit_bits = 32;
+
+    const auto par = parallel_toom_multiply(a, b, cfg);
+    EXPECT_EQ(par.product, want);
+    expect_charges(par.stats, {9812, 12, 12, 88097, 108, 108, 7560},
+                   "parallel");
+
+    const auto rep = replicated_toom_multiply(a, b, {cfg, 1}, {});
+    EXPECT_EQ(rep.product, want);
+    expect_charges(rep.stats, {9812, 12, 12, 176194, 216, 216, 7560},
+                   "replication");
+
+    const auto poly = ft_poly_multiply(a, b, {cfg, 1}, {});
+    EXPECT_EQ(poly.product, want);
+    expect_charges(poly.stats, {10403, 15, 15, 123287, 180, 180, 7632},
+                   "ft_poly");
+
+    ParallelConfig dfs = cfg;
+    dfs.step_order = "BDB";
+    const auto d = parallel_toom_multiply(a, -b, dfs);
+    EXPECT_EQ(d.product, -want);
+    expect_charges(d.stats, {12764, 24, 24, 114610, 216, 216, 7560},
+                   "parallel BDB");
+}
 
 }  // namespace
 }  // namespace ftmul
